@@ -334,9 +334,7 @@ def _cmd_sweep(args) -> int:
     if config.init_mode != "random":
         raise UsageError("sweep draws random initializations; set init mode 'random'")
     seeds = list(range(config.seed, config.seed + args.runs))
-    results = sweep(
-        config.net, config.cost, config.integrator, seeds, config.scale, workers=args.workers
-    )
+    results = sweep(config.net, config.cost, config.integrator, seeds, config.scale)
     with open(args.out, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["seed", "label", "grad_f_norm", "grad_g_norm", "note"])
@@ -566,7 +564,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True, help="summary CSV path")
     p.add_argument("--runs", type=int, default=20, help="number of seeds, starting at init.seed")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("accelerate", help="race two imbalances of the reduced scalar flow")

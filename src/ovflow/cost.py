@@ -493,10 +493,12 @@ class ScalarMatrixCost:
         return self.scalar.min_value
 
     def value(self, W: np.ndarray) -> float:
-        return self.scalar.value(float(W[0, 0]))
+        # W[..., 0, 0] makes a stack of several matrices fail loudly in float()
+        return self.scalar.value(float(W[..., 0, 0]))
 
     def gradient(self, W: np.ndarray) -> np.ndarray:
-        return np.array([[self.scalar.deriv(float(W[0, 0]))]])
+        """f'(w) per 1x1 matrix; W may be a stack of shape (B, 1, 1)."""
+        return np.array([self.scalar.deriv(w) for w in W.ravel().tolist()]).reshape(W.shape)
 
     def second_directional(self, W: np.ndarray, A: np.ndarray) -> float:
         # second-order Taylor coefficient: f(w + a) = f + f' a + (f''/2) a^2
@@ -536,14 +538,16 @@ class QuadraticMatrixCost:
         return self.target.shape[0]
 
     def _check(self, W: np.ndarray) -> np.ndarray:
+        """W as floats; a stack of shape (B, n, n) passes too."""
         W = np.asarray(W, dtype=float)
-        if W.shape != self.target.shape:
+        if W.shape[-2:] != self.target.shape:
             raise ValueError(f"expected shape {self.target.shape}, got {W.shape}")
         return W
 
     def value(self, W: np.ndarray) -> float:
         diff = self._check(W) - self.target
-        return 0.5 * float(np.sum(diff * diff))
+        # summing over the matrix axes only makes a stack fail loudly in float()
+        return 0.5 * float(np.sum(diff * diff, axis=(-2, -1)))
 
     def gradient(self, W: np.ndarray) -> np.ndarray:
         return self._check(W) - self.target

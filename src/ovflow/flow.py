@@ -12,7 +12,6 @@ classifies the limits of a batch of random initializations.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -21,7 +20,7 @@ import numpy as np
 from ovflow.cost import MatrixCost
 from ovflow.invariant import invariants
 from ovflow.linnet import LayerStack, NetShape, gradients_from_layers, layer_shapes, product, random_init
-from ovflow.odeint import IntegratorConfig, solve_flow
+from ovflow.odeint import IntegratorConfig, solve_flow, solve_flow_batch
 
 __all__ = [
     "FlowSample",
@@ -70,8 +69,13 @@ class LimitClass:
     note: str = ""
 
 
+# The flat state is the layers' entries, row-major, first layer first, along
+# the last axis: a (d,) vector for one flow, a (B, d) array for a batch.
+
+
 def _pack(layers: Sequence[np.ndarray]) -> np.ndarray:
-    return np.concatenate([layer.ravel() for layer in layers])
+    flat = layers[0].shape[:-2] + (-1,)
+    return np.concatenate([layer.reshape(flat) for layer in layers], axis=-1)
 
 
 def _unpacker(shape: NetShape):
@@ -82,8 +86,19 @@ def _unpacker(shape: NetShape):
         offsets.append((start, start + rows * cols, (rows, cols)))
         start += rows * cols
     def unpack(y: np.ndarray) -> list[np.ndarray]:
-        return [y[a:b].reshape(dims) for a, b, dims in offsets]
+        lead = y.shape[:-1]
+        return [y[..., a:b].reshape(lead + dims) for a, b, dims in offsets]
     return unpack
+
+
+def _field(shape: NetShape, cost: MatrixCost):
+    """The flow's right-hand side on flat states, one or a batch."""
+    unpack = _unpacker(shape)
+
+    def field(y: np.ndarray) -> np.ndarray:
+        return -_pack(gradients_from_layers(unpack(y), cost))
+
+    return field
 
 
 def _as_trajectory(result, shape: NetShape, cost: MatrixCost, cfg: IntegratorConfig) -> Trajectory:
@@ -109,14 +124,7 @@ def integrate(
     if stack0.shape.n != cost.n:
         raise ValueError(f"stack n={stack0.shape.n} does not match cost n={cost.n}")
     shape = stack0.shape
-    unpack = _unpacker(shape)
-    n = shape.n
-
-    def field(y: np.ndarray) -> np.ndarray:
-        grads = gradients_from_layers(unpack(y), n, cost)
-        return -_pack(grads)
-
-    result = solve_flow(field, _pack(stack0.layers), cfg, checkpoints=checkpoints)
+    result = solve_flow(_field(shape, cost), _pack(stack0.layers), cfg, checkpoints=checkpoints)
     return _as_trajectory(result, shape, cost, cfg)
 
 
@@ -145,8 +153,9 @@ def detect_convergence(traj: Trajectory, cost: MatrixCost, tol_f: float = 1e-6) 
     budget, or a non-finite abort).
     """
     final = traj.final
-    grad_f = cost.gradient(product(final.stack))
-    grad_f_norm = float(np.linalg.norm(grad_f))
+    # a run that stopped on non_finite may end too large to square
+    with np.errstate(over="ignore", invalid="ignore"):
+        grad_f_norm = float(np.linalg.norm(cost.gradient(product(final.stack))))
     grad_g_norm = final.grad_norm
     if grad_f_norm < tol_f:
         return LimitClass("critical_of_f", grad_f_norm, grad_g_norm)
@@ -155,32 +164,30 @@ def detect_convergence(traj: Trajectory, cost: MatrixCost, tol_f: float = 1e-6) 
     return LimitClass("undecided", grad_f_norm, grad_g_norm, note=f"stopped on {traj.stop_reason}")
 
 
-def _sweep_one(shape: NetShape, cost: MatrixCost, cfg: IntegratorConfig, seed: int, scale: float) -> LimitClass:
-    try:
-        stack0 = random_init(shape, seed=seed, scale=scale)
-        traj = integrate(stack0, cost, cfg)
-        return detect_convergence(traj, cost)
-    except Exception as exc:  # keep the batch alive; a bad run is data too
-        return LimitClass("undecided", float("nan"), float("nan"), note=f"error: {exc}")
-
-
 def sweep(
     shape: NetShape,
     cost: MatrixCost,
     cfg: IntegratorConfig,
     seeds: Sequence[int],
     scale: float,
-    workers: int = 1,
 ) -> list[LimitClass]:
     """Integrate one random initialization per seed and classify each limit.
 
-    Results are ordered like ``seeds`` regardless of worker count, so a
-    sweep is reproducible from the seed list alone.
+    All starts are integrated together as one batch, each row stepping as
+    its own ``integrate`` run would; the fixed-step rk4 method has no batch
+    solver and runs the seeds one by one. Results are ordered like
+    ``seeds``, so a sweep is reproducible from the seed list alone.
     """
-    if workers <= 1:
-        return [_sweep_one(shape, cost, cfg, s, scale) for s in seeds]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda s: _sweep_one(shape, cost, cfg, s, scale), seeds))
+    if shape.n != cost.n:
+        raise ValueError(f"shape n={shape.n} does not match cost n={cost.n}")
+    starts = [random_init(shape, seed=seed, scale=scale) for seed in seeds]
+    if cfg.method == "rk45" and starts:
+        Y0 = np.stack([_pack(stack0.layers) for stack0 in starts])
+        results = solve_flow_batch(_field(shape, cost), Y0, cfg)
+        trajs = [_as_trajectory(result, shape, cost, cfg) for result in results]
+    else:
+        trajs = [integrate(stack0, cost, cfg) for stack0 in starts]
+    return [detect_convergence(traj, cost) for traj in trajs]
 
 
 def write_trajectory_csv(traj: Trajectory, cost: MatrixCost, path: str) -> None:
@@ -198,7 +205,8 @@ def write_trajectory_csv(traj: Trajectory, cost: MatrixCost, path: str) -> None:
     header = ["t", "cost", "grad_g_norm", "grad_f_norm", "drift", "imbalance_c"]
     header += [f"w_{r}_{c}" for r in range(n) for c in range(n)]
 
-    with open(path, "w", newline="") as handle:
+    # the tail of a diverging run overflows to inf in the norms, not a warning
+    with open(path, "w", newline="") as handle, np.errstate(over="ignore", invalid="ignore"):
         writer = csv.writer(handle)
         writer.writerow(header)
         for sample in traj.samples:

@@ -130,8 +130,12 @@ def product(stack: LayerStack) -> np.ndarray:
     return np.array(out)
 
 
-def gradients_from_layers(layers: Sequence[np.ndarray], n: int, cost) -> list[np.ndarray]:
-    """layer_gradients on a bare layer sequence; the hot path for the flow."""
+def gradients_from_layers(layers: Sequence[np.ndarray], cost) -> list[np.ndarray]:
+    """layer_gradients on a bare layer sequence; the hot path for the flow.
+
+    Each layer may also be a stack of shape (B, rows, cols), one matrix per
+    flow of a batch; the gradients then come back stacked the same way.
+    """
     depth = len(layers)
     if depth == 1:
         return [np.asarray(cost.gradient(layers[0]))]
@@ -145,10 +149,10 @@ def gradients_from_layers(layers: Sequence[np.ndarray], n: int, cost) -> list[np
     suffix.reverse()  # suffix[i] = W_N ... W_{i+2}
 
     grad_f = cost.gradient(suffix[0] @ layers[0])
-    grads = [suffix[0].T @ grad_f]
+    grads = [suffix[0].swapaxes(-1, -2) @ grad_f]
     for i in range(1, depth - 1):
-        grads.append(suffix[i].T @ grad_f @ prefix[i - 1].T)
-    grads.append(grad_f @ prefix[depth - 2].T)
+        grads.append(suffix[i].swapaxes(-1, -2) @ grad_f @ prefix[i - 1].swapaxes(-1, -2))
+    grads.append(grad_f @ prefix[depth - 2].swapaxes(-1, -2))
     return grads
 
 
@@ -158,7 +162,7 @@ def layer_gradients(stack: LayerStack, cost) -> tuple[np.ndarray, ...]:
     Prefix and suffix partial products are accumulated once, so the whole
     gradient costs O(N) small matrix multiplies.
     """
-    return tuple(gradients_from_layers(stack.layers, stack.shape.n, cost))
+    return tuple(gradients_from_layers(stack.layers, cost))
 
 
 def _orthonormal_columns(k: int, n: int, rng: Optional[np.random.Generator]) -> np.ndarray:

@@ -3,7 +3,9 @@
 Two methods are provided: the Dormand-Prince 5(4) embedded pair with a
 proportional-integral step controller (the default), and fixed-step
 classical RK4. Both treat the state as a flat float vector; callers pack
-and unpack their own structures.
+and unpack their own structures. ``solve_flow_batch`` runs Dormand-Prince
+on a (batch, dim) array of independent flows at once, each row stepping as
+its own ``solve_flow`` run would.
 
 The solver stops on whichever comes first: the field norm dropping below
 ``grad_tol`` (convergence), reaching ``t_max``, exhausting ``max_steps``,
@@ -21,7 +23,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["IntegratorConfig", "OdeResult", "solve_flow"]
+__all__ = ["IntegratorConfig", "OdeResult", "solve_flow", "solve_flow_batch"]
 
 _H_MIN = 1e-12
 _H_MAX = 1.0
@@ -133,7 +135,8 @@ def solve_flow(
     k1 = np.asarray(field(y), dtype=float).ravel()
     if not _finite(k1):
         raise ValueError("field is non-finite at the initial state")
-    fnorm = float(np.linalg.norm(k1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        fnorm = float(np.linalg.norm(k1))
     record(0.0, y, fnorm)
     if fnorm < cfg.grad_tol:
         return finish("converged", 0)
@@ -174,14 +177,13 @@ def _run_dopri(field, y, k1, fnorm, cfg, cps, stop_when, record, finish):
                 stages[i + 1] = field(yi)
             y_new = y + h_try * (_B @ stages)
             err_vec = h_try * (_E @ stages)
+            scale = cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(y_new))
+            err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
+            fnorm_new = float(np.linalg.norm(stages[6]))  # stage 7 is the field at y_new
 
         if not (_finite(y_new) and _finite(err_vec)):
             record(t, y, fnorm)
             return finish("non_finite", steps)
-
-        with np.errstate(over="ignore", invalid="ignore"):
-            scale = cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(y_new))
-            err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
         if math.isnan(err):
             err = math.inf
 
@@ -189,8 +191,8 @@ def _run_dopri(field, y, k1, fnorm, cfg, cps, stop_when, record, finish):
             steps += 1
             t = bound if landing else t + h_try
             y = y_new
-            stages[0] = stages[6]  # first-same-as-last: stage 7 is the field at y_new
-            fnorm = float(np.linalg.norm(stages[0]))
+            stages[0] = stages[6]  # first-same-as-last
+            fnorm = fnorm_new
 
             hit_cp = landing and cp_idx < len(cps) and bound == cps[cp_idx]
             if hit_cp:
@@ -216,6 +218,107 @@ def _run_dopri(field, y, k1, fnorm, cfg, cps, stop_when, record, finish):
         else:
             factor = max(0.2, _SAFETY * err ** (-_PI_ALPHA))
             h = min(max(h_try * factor, _H_MIN), _H_MAX)
+
+
+def solve_flow_batch(
+    field: Callable[[np.ndarray], np.ndarray],
+    Y0: np.ndarray,
+    cfg: IntegratorConfig,
+) -> list[OdeResult]:
+    """Integrate dy/dt = field(y) from every row of Y0 at once with Dormand-Prince.
+
+    field maps a (b, d) array of states to their (b, d) fields row by row.
+    Each row keeps its own time, step size, controller state and step count,
+    and measures its error over its own entries, so it makes the accept and
+    reject decisions that its solve_flow run makes. A row leaves the batch
+    when it stops; a row whose field is non-finite at the start stops there
+    with ``non_finite``. Returns one OdeResult per row holding only its final
+    sample: there are no checkpoints, no recording and no stop predicate.
+    """
+    if cfg.method != "rk45":
+        raise ValueError(f"the batch solver is Dormand-Prince only, not {cfg.method!r}")
+    Y = np.array(Y0, dtype=float)
+    if not _finite(Y):
+        raise ValueError("initial state contains non-finite entries")
+
+    n_rows = len(Y)
+    t = np.zeros(n_rows)
+    h = np.full(n_rows, min(max(cfg.h0, _H_MIN), _H_MAX))
+    err_prev = np.ones(n_rows)
+    steps = np.zeros(n_rows, dtype=int)
+    stages = np.empty((7,) + Y.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        stages[0] = field(Y)
+        fnorm = np.linalg.norm(stages[0], axis=1)
+    rows = np.arange(n_rows)
+    results: list[Optional[OdeResult]] = [None] * n_rows
+
+    def retire(done: np.ndarray, reason: str) -> None:
+        for j in np.flatnonzero(done):
+            results[rows[j]] = OdeResult(
+                t=t[j : j + 1].copy(),
+                y=Y[j : j + 1].copy(),
+                field_norm=fnorm[j : j + 1].copy(),
+                stop_reason=reason,
+                n_steps=int(steps[j]),
+            )
+
+    t_end = cfg.t_max - 1e-14 * max(1.0, cfg.t_max)
+    stopped = ~np.isfinite(stages[0]).all(axis=1)
+    retire(stopped, "non_finite")
+    converged = ~stopped & (fnorm < cfg.grad_tol)
+    retire(converged, "converged")
+    stopped |= converged
+
+    while True:
+        if stopped.any():
+            keep = ~stopped
+            rows, Y, t, h, err_prev, steps, fnorm = (
+                a[keep] for a in (rows, Y, t, h, err_prev, steps, fnorm)
+            )
+            stages = np.ascontiguousarray(stages[:, keep])
+        if rows.size == 0:
+            return results
+
+        landing = t + h >= t_end
+        h_try = np.where(landing, cfg.t_max - t, h)
+        hcol = h_try[:, None]
+        flat = stages.reshape(7, -1)  # a view: stage i is row i of flat
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(6):
+                stages[i + 1] = field(Y + hcol * (_A[i] @ flat[: i + 1]).reshape(Y.shape))
+            Y_new = Y + hcol * (_B @ flat).reshape(Y.shape)
+            err_vec = hcol * (_E @ flat).reshape(Y.shape)
+            finite = np.isfinite(Y_new).all(axis=1) & np.isfinite(err_vec).all(axis=1)
+            scale = cfg.atol + cfg.rtol * np.maximum(np.abs(Y), np.abs(Y_new))
+            err = np.sqrt(np.mean((err_vec / scale) ** 2, axis=1))
+        err[np.isnan(err)] = np.inf
+        accept = finite & ((err <= 1.0) | (h_try <= _H_MIN * 1.0000001))
+
+        steps += accept
+        t = np.where(accept, np.where(landing, cfg.t_max, t + h_try), t)
+        Y[accept] = Y_new[accept]
+        stages[0, accept] = stages[6, accept]
+        with np.errstate(over="ignore", invalid="ignore"):
+            fnorm[accept] = np.linalg.norm(stages[0, accept], axis=1)
+            # fmax/fmin skip NaN the way the serial loop's max/min do
+            err_acc = np.maximum(err, 1e-10)
+            grow = np.fmin(5.0, np.fmax(0.2, _SAFETY * err_acc ** (-_PI_ALPHA) * err_prev ** _PI_BETA))
+            shrink = np.fmax(0.2, _SAFETY * err ** (-_PI_ALPHA))
+        h = np.where(accept, h * grow, h_try * shrink).clip(_H_MIN, _H_MAX)
+        err_prev = np.where(accept, err_acc, err_prev)
+
+        stopped = ~finite
+        retire(stopped, "non_finite")
+        # the serial loop's stop tests, in its order
+        for reason, hit in (
+            ("converged", fnorm < cfg.grad_tol),
+            ("t_max", t >= t_end),
+            ("max_steps", steps >= cfg.max_steps),
+        ):
+            hit &= accept & ~stopped
+            retire(hit, reason)
+            stopped |= hit
 
 
 def _run_rk4(field, y, k1, fnorm, cfg, cps, stop_when, record, finish):
@@ -252,7 +355,8 @@ def _run_rk4(field, y, k1, fnorm, cfg, cps, stop_when, record, finish):
         if not _finite(k1):
             record(t, y, fnorm)
             return finish("non_finite", steps)
-        fnorm = float(np.linalg.norm(k1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            fnorm = float(np.linalg.norm(k1))
 
         hit_cp = landing and cp_idx < len(cps) and bound == cps[cp_idx]
         if hit_cp:

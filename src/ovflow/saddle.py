@@ -114,7 +114,7 @@ def escape_direction(stack: LayerStack, cost: MatrixCost) -> EscapeDirection:
     """
     _require_two_layers(stack)
     W1, W2 = stack.layers
-    grads = gradients_from_layers(stack.layers, stack.shape.n, cost)
+    grads = gradients_from_layers(stack.layers, cost)
     grad_g = math.sqrt(sum(float(np.sum(g * g)) for g in grads))
     if grad_g >= _GRAD_TOL:
         raise ValueError(f"not a critical point of g: ||grad g|| = {grad_g:.3g}")
@@ -179,7 +179,6 @@ def assemble_hessian(stack: LayerStack, cost: MatrixCost, eps: float = 1e-5) -> 
     sizes = [s[0] * s[1] for s in shapes]
     dim = sum(sizes)
     x0 = np.concatenate([layer.ravel() for layer in stack.layers])
-    n = stack.shape.n
 
     def grad_at(x: np.ndarray) -> np.ndarray:
         layers = []
@@ -187,7 +186,7 @@ def assemble_hessian(stack: LayerStack, cost: MatrixCost, eps: float = 1e-5) -> 
         for shp, size in zip(shapes, sizes):
             layers.append(x[start : start + size].reshape(shp))
             start += size
-        grads = gradients_from_layers(layers, n, cost)
+        grads = gradients_from_layers(layers, cost)
         return np.concatenate([g.ravel() for g in grads])
 
     H = np.empty((dim, dim))

@@ -144,7 +144,7 @@ def test_criterion_04_almost_everywhere_convergence():
     cfg = IntegratorConfig(rtol=1e-10, atol=1e-12, t_max=50.0, grad_tol=1e-8, record_stride=50)
     start = time.perf_counter()
     labels = sweep(NetShape(2, 4, 2), QuadraticMatrixCost(np.eye(2)), cfg,
-                   seeds=range(100), scale=0.5, workers=4)
+                   seeds=range(100), scale=0.5)
     elapsed = time.perf_counter() - start
     hits = sum(1 for l in labels if l.label == "critical_of_f" and l.grad_f_norm < 1e-6)
     ok = hits == 100 and elapsed < 60.0

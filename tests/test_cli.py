@@ -146,7 +146,7 @@ def test_help_exits_zero():
 def test_sweep_labels_every_seed(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "sweep.csv"
-    assert main(["sweep", "--config", cfg, "--out", str(out), "--runs", "6", "--workers", "2"]) == 0
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--runs", "6"]) == 0
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "seed,label,grad_f_norm,grad_g_norm,note"
     assert len(lines) == 7

@@ -5,6 +5,8 @@ import pytest
 
 from ovflow.cost import QuadraticMatrixCost, parse_scalar_cost
 from ovflow.flow import (
+    _field,
+    _pack,
     detect_convergence,
     integrate,
     integrate_baseline,
@@ -14,7 +16,7 @@ from ovflow.flow import (
 )
 from ovflow.invariant import drift
 from ovflow.linnet import NetShape, balanced_init, random_init
-from ovflow.odeint import IntegratorConfig, solve_flow
+from ovflow.odeint import IntegratorConfig, solve_flow, solve_flow_batch
 from ovflow.scalarcase import anti_balanced, to_stack
 
 COST = QuadraticMatrixCost(np.array([[2.0, 0.3], [-0.1, 1.0]]))
@@ -113,15 +115,69 @@ def test_detect_convergence_labels():
     assert "t_max" in label.note
 
 
-def test_sweep_is_deterministic_and_ordered():
-    cfg = IntegratorConfig(rtol=1e-8, atol=1e-10, t_max=50.0)
-    seeds = list(range(8))
-    serial = sweep(NetShape(2, 3, 2), COST, cfg, seeds, scale=0.5, workers=1)
-    threaded = sweep(NetShape(2, 3, 2), COST, cfg, seeds, scale=0.5, workers=4)
-    assert [r.label for r in serial] == ["critical_of_f"] * 8
-    for a, b in zip(serial, threaded):
-        assert a.label == b.label
-        assert a.grad_f_norm == b.grad_f_norm
+SWEEP_CFG = IntegratorConfig(rtol=1e-8, atol=1e-10, t_max=50.0)
+# a short horizon and a small step budget end the rows of one batch on
+# different stop reasons, so rows leave the active set at different steps
+MIXED_STOPS_CFG = IntegratorConfig(rtol=1e-8, atol=1e-10, t_max=11.0, max_steps=115)
+SWEEP_CASES = {
+    "depth2": (NetShape(2, 3, 2), COST, SWEEP_CFG),
+    "depth3": (NetShape(2, 3, 3), COST, SWEEP_CFG),
+    "depth1": (NetShape(2, 2, 1), COST, SWEEP_CFG),
+    "scalar": (NetShape(1, 2, 2), parse_scalar_cost("(1 - w)^2").as_matrix(), SWEEP_CFG),
+    "mixed_stops": (NetShape(2, 3, 2), COST, MIXED_STOPS_CFG),
+    "rk4": (NetShape(2, 3, 2), COST, IntegratorConfig(method="rk4", h0=0.05, t_max=30.0, grad_tol=1e-6)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+def test_sweep_matches_serial_runs(case):
+    shape, cost, cfg = SWEEP_CASES[case]
+    seeds = list(range(12))
+    labels = sweep(shape, cost, cfg, seeds, scale=0.5)
+    assert len(labels) == len(seeds)
+    for seed, got in zip(seeds, labels):
+        want = detect_convergence(integrate(random_init(shape, seed=seed, scale=0.5), cost, cfg), cost)
+        assert (got.label, got.note) == (want.label, want.note), f"seed {seed}"
+        assert abs(got.grad_f_norm - want.grad_f_norm) < 1e-8
+        assert abs(got.grad_g_norm - want.grad_g_norm) < 1e-8
+    wanted = {"critical_of_f", "undecided"} if case == "mixed_stops" else {"critical_of_f"}
+    assert {r.label for r in labels} == wanted
+
+
+def test_sweep_of_no_seeds_and_of_a_mismatched_cost():
+    assert sweep(NetShape(2, 3, 2), COST, SWEEP_CFG, [], scale=0.5) == []
+    with pytest.raises(ValueError, match="does not match"):
+        sweep(NetShape(3, 4, 2), COST, SWEEP_CFG, [0, 1], scale=0.5)
+
+
+def test_sweep_labels_diverging_runs_undecided():
+    # f = -w^2 sends every start off to infinity; at scale 1e100 the field
+    # already overflows at the start
+    diverging = sweep(NetShape(1, 2, 2), parse_scalar_cost("-(w^2)").as_matrix(), SWEEP_CFG,
+                      range(4), scale=1.5)
+    huge = sweep(NetShape(2, 3, 2), COST, SWEEP_CFG, [0, 1], scale=1e100)
+    assert {(r.label, r.note) for r in diverging + huge} == {("undecided", "stopped on non_finite")}
+
+
+def test_batch_rows_step_like_serial_solves():
+    shape = NetShape(2, 3, 2)
+    field = _field(shape, COST)
+    Y0 = np.stack([_pack(random_init(shape, seed=s, scale=0.5).layers) for s in range(12)])
+    batch = solve_flow_batch(field, Y0, MIXED_STOPS_CFG)
+    assert {r.stop_reason for r in batch} == {"converged", "t_max", "max_steps"}
+    for y0, got in zip(Y0, batch):
+        want = solve_flow(field, y0, MIXED_STOPS_CFG)
+        assert (got.stop_reason, got.n_steps) == (want.stop_reason, want.n_steps)
+        np.testing.assert_allclose(got.t, want.t[-1:], rtol=1e-7)
+        np.testing.assert_allclose(got.y, want.y[-1:], rtol=0, atol=1e-9)
+
+    # y' = y^2 blows up at t = 1/y0 for y0 > 0 and decays for y0 < 0
+    blowup = IntegratorConfig(t_max=5.0)
+    batch = solve_flow_batch(lambda y: y * y, np.array([[1.0], [0.5], [-1.0]]), blowup)
+    assert [r.stop_reason for r in batch] == ["non_finite", "non_finite", "t_max"]
+    for y0, got in zip([1.0, 0.5, -1.0], batch):
+        want = solve_flow(lambda y: y * y, np.array([y0]), blowup)
+        assert (got.stop_reason, got.n_steps) == (want.stop_reason, want.n_steps)
 
 
 def test_trajectory_csv_round_trip(tmp_path):
