@@ -18,8 +18,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ovflow.cost import MatrixCost
-from ovflow.invariant import invariants
-from ovflow.linnet import LayerStack, NetShape, gradients_from_layers, layer_shapes, product, random_init
+from ovflow.invariant import drift_series
+from ovflow.linnet import LayerStack, NetShape, flow_field, pack, product, random_init, unpacker
 from ovflow.odeint import IntegratorConfig, solve_flow, solve_flow_batch
 
 __all__ = [
@@ -69,40 +69,8 @@ class LimitClass:
     note: str = ""
 
 
-# The flat state is the layers' entries, row-major, first layer first, along
-# the last axis: a (d,) vector for one flow, a (B, d) array for a batch.
-
-
-def _pack(layers: Sequence[np.ndarray]) -> np.ndarray:
-    flat = layers[0].shape[:-2] + (-1,)
-    return np.concatenate([layer.reshape(flat) for layer in layers], axis=-1)
-
-
-def _unpacker(shape: NetShape):
-    dims = layer_shapes(shape)
-    offsets = []
-    start = 0
-    for rows, cols in dims:
-        offsets.append((start, start + rows * cols, (rows, cols)))
-        start += rows * cols
-    def unpack(y: np.ndarray) -> list[np.ndarray]:
-        lead = y.shape[:-1]
-        return [y[..., a:b].reshape(lead + dims) for a, b, dims in offsets]
-    return unpack
-
-
-def _field(shape: NetShape, cost: MatrixCost):
-    """The flow's right-hand side on flat states, one or a batch."""
-    unpack = _unpacker(shape)
-
-    def field(y: np.ndarray) -> np.ndarray:
-        return -_pack(gradients_from_layers(unpack(y), cost))
-
-    return field
-
-
 def _as_trajectory(result, shape: NetShape, cost: MatrixCost, cfg: IntegratorConfig) -> Trajectory:
-    unpack = _unpacker(shape)
+    unpack = unpacker(shape)
     samples = []
     # near-overflow tails of diverging runs evaluate to inf, not a warning storm
     with np.errstate(over="ignore", invalid="ignore"):
@@ -124,7 +92,7 @@ def integrate(
     if stack0.shape.n != cost.n:
         raise ValueError(f"stack n={stack0.shape.n} does not match cost n={cost.n}")
     shape = stack0.shape
-    result = solve_flow(_field(shape, cost), _pack(stack0.layers), cfg, checkpoints=checkpoints)
+    result = solve_flow(flow_field(shape, cost), pack(stack0.layers), cfg, checkpoints=checkpoints)
     return _as_trajectory(result, shape, cost, cfg)
 
 
@@ -174,20 +142,16 @@ def sweep(
     """Integrate one random initialization per seed and classify each limit.
 
     All starts are integrated together as one batch, each row stepping as
-    its own ``integrate`` run would; the fixed-step rk4 method has no batch
-    solver and runs the seeds one by one. Results are ordered like
-    ``seeds``, so a sweep is reproducible from the seed list alone.
+    its own ``integrate`` run would. Results are ordered like ``seeds``, so
+    a sweep is reproducible from the seed list alone.
     """
     if shape.n != cost.n:
         raise ValueError(f"shape n={shape.n} does not match cost n={cost.n}")
-    starts = [random_init(shape, seed=seed, scale=scale) for seed in seeds]
-    if cfg.method == "rk45" and starts:
-        Y0 = np.stack([_pack(stack0.layers) for stack0 in starts])
-        results = solve_flow_batch(_field(shape, cost), Y0, cfg)
-        trajs = [_as_trajectory(result, shape, cost, cfg) for result in results]
-    else:
-        trajs = [integrate(stack0, cost, cfg) for stack0 in starts]
-    return [detect_convergence(traj, cost) for traj in trajs]
+    starts = [pack(random_init(shape, seed=seed, scale=scale).layers) for seed in seeds]
+    if not starts:
+        return []
+    results = solve_flow_batch(flow_field(shape, cost), np.stack(starts), cfg)
+    return [detect_convergence(_as_trajectory(result, shape, cost, cfg), cost) for result in results]
 
 
 def write_trajectory_csv(traj: Trajectory, cost: MatrixCost, path: str) -> None:
@@ -199,8 +163,7 @@ def write_trajectory_csv(traj: Trajectory, cost: MatrixCost, path: str) -> None:
     """
     n = traj.samples[0].stack.shape.n
     depth = traj.samples[0].stack.shape.depth
-    base = invariants(traj.samples[0].stack) if depth >= 2 else None
-    scales = [1.0 + float(np.linalg.norm(c)) for c in base.matrices] if base else []
+    series = drift_series(traj.samples) if depth >= 2 else [(0.0, None)] * len(traj.samples)
 
     header = ["t", "cost", "grad_g_norm", "grad_f_norm", "drift", "imbalance_c"]
     header += [f"w_{r}_{c}" for r in range(n) for c in range(n)]
@@ -209,19 +172,10 @@ def write_trajectory_csv(traj: Trajectory, cost: MatrixCost, path: str) -> None:
     with open(path, "w", newline="") as handle, np.errstate(over="ignore", invalid="ignore"):
         writer = csv.writer(handle)
         writer.writerow(header)
-        for sample in traj.samples:
+        for sample, (d, inv) in zip(traj.samples, series):
             w = product(sample.stack)
             grad_f_norm = float(np.linalg.norm(cost.gradient(w)))
-            if base is not None:
-                now = invariants(sample.stack)
-                d = max(
-                    float(np.linalg.norm(c1 - c0)) / s
-                    for c0, c1, s in zip(base.matrices, now.matrices, scales)
-                )
-                imb = "" if now.imbalance_c is None else f"{now.imbalance_c:.17g}"
-            else:
-                d = 0.0
-                imb = ""
+            imb = "" if inv is None or inv.imbalance_c is None else f"{inv.imbalance_c:.17g}"
             row = [
                 f"{sample.t:.17g}",
                 f"{sample.cost:.17g}",

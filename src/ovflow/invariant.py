@@ -19,7 +19,7 @@ import numpy as np
 
 from ovflow.linnet import LayerStack
 
-__all__ = ["InvariantSet", "invariants", "imbalance_scalar", "norm_chain_residual", "drift"]
+__all__ = ["InvariantSet", "invariants", "imbalance_scalar", "norm_chain_residual", "drift_series", "drift"]
 
 
 @dataclass(frozen=True)
@@ -42,13 +42,7 @@ def invariants(stack: LayerStack) -> InvariantSet:
         c.flags.writeable = False
         mats.append(c)
     traces = tuple(float(np.trace(c)) for c in mats)
-    imbalance = None
-    if stack.shape.depth == 2 and stack.shape.n == 1:
-        # numpy arithmetic throughout: near-overflow states (a flow stopped
-        # on non_finite) must give inf here, not raise
-        with np.errstate(over="ignore", invalid="ignore"):
-            c = mats[0]
-            imbalance = float(2.0 * np.trace(c @ c) - np.float64(traces[0]) ** 2)
+    imbalance = _imbalance(mats[0]) if stack.shape.depth == 2 and stack.shape.n == 1 else None
     return InvariantSet(matrices=tuple(mats), traces=traces, imbalance_c=imbalance)
 
 
@@ -56,7 +50,12 @@ def imbalance_scalar(inv: InvariantSet) -> float:
     """c = 2 tr(C^2) - (tr C)^2 for a single balance matrix."""
     if len(inv.matrices) != 1:
         raise ValueError("scalar imbalance is defined for two-layer stacks only")
-    c = inv.matrices[0]
+    return _imbalance(inv.matrices[0])
+
+
+def _imbalance(c: np.ndarray) -> float:
+    # numpy arithmetic throughout: near-overflow states (a flow stopped on
+    # non_finite) must give inf here, not raise
     with np.errstate(over="ignore", invalid="ignore"):
         return float(2.0 * np.trace(c @ c) - np.trace(c) ** 2)
 
@@ -76,24 +75,35 @@ def norm_chain_residual(stack: LayerStack, inv0: InvariantSet) -> list[float]:
     ]
 
 
+def drift_series(samples) -> list[tuple[float, InvariantSet]]:
+    """Each sample's normalized invariant drift, with its invariant set.
+
+    The drift at sample t is the max over pairs i of
+    ||C_i(t) - C_i(0)||_F / (1 + ||C_i(0)||_F), where sample 0 gives C_i(0);
+    a pair whose drift is not a number is skipped.
+    """
+    series = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        sets = [invariants(sample.stack) for sample in samples]
+        base = sets[0].matrices
+        scales = [1.0 + float(np.linalg.norm(c)) for c in base]
+        for now in sets:
+            worst = 0.0
+            for c0, c1, scale in zip(base, now.matrices, scales):
+                err = float(np.linalg.norm(c1 - c0)) / scale
+                if err > worst:
+                    worst = err
+            series.append((worst, now))
+    return series
+
+
 def drift(traj) -> float:
     """Worst normalized invariant drift along a trajectory.
 
-    max over samples t and pairs i of
-    ||C_i(t) - C_i(0)||_F / (1 + ||C_i(0)||_F). Zero for an exact flow;
+    The max of ``drift_series`` over the samples. Zero for an exact flow;
     for a numerical one this is the conservation error of the integrator.
     """
     samples = getattr(traj, "samples", traj)
     if len(samples) == 0:
         raise ValueError("empty trajectory")
-    worst = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        base = invariants(samples[0].stack).matrices
-        scales = [1.0 + float(np.linalg.norm(c)) for c in base]
-        for sample in samples:
-            now = invariants(sample.stack).matrices
-            for c0, c1, scale in zip(base, now, scales):
-                err = float(np.linalg.norm(c1 - c0)) / scale
-                if err > worst:
-                    worst = err
-    return worst
+    return max(d for d, _ in drift_series(samples))

@@ -20,7 +20,7 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -31,6 +31,9 @@ __all__ = [
     "layer_shapes",
     "product",
     "layer_gradients",
+    "pack",
+    "unpacker",
+    "flow_field",
     "balanced_init",
     "random_init",
     "rescale_pair",
@@ -130,11 +133,13 @@ def product(stack: LayerStack) -> np.ndarray:
     return np.array(out)
 
 
-def gradients_from_layers(layers: Sequence[np.ndarray], cost) -> list[np.ndarray]:
-    """layer_gradients on a bare layer sequence; the hot path for the flow.
+def layer_gradients(layers: Sequence[np.ndarray], cost) -> list[np.ndarray]:
+    """Per-layer gradients of g = f(product) at the layers W_1, ..., W_N.
 
-    Each layer may also be a stack of shape (B, rows, cols), one matrix per
-    flow of a batch; the gradients then come back stacked the same way.
+    Prefix and suffix partial products are accumulated once, so the whole
+    gradient costs O(N) small matrix multiplies. Each layer may also be a
+    stack of shape (B, rows, cols), one matrix per flow of a batch; the
+    gradients then come back stacked the same way.
     """
     depth = len(layers)
     if depth == 1:
@@ -156,13 +161,39 @@ def gradients_from_layers(layers: Sequence[np.ndarray], cost) -> list[np.ndarray
     return grads
 
 
-def layer_gradients(stack: LayerStack, cost) -> tuple[np.ndarray, ...]:
-    """Per-layer gradients of g = f(product).
+# The flat state is the layers' entries, row-major, first layer first, along
+# the last axis: a (d,) vector for one stack, a (B, d) array for a batch.
 
-    Prefix and suffix partial products are accumulated once, so the whole
-    gradient costs O(N) small matrix multiplies.
-    """
-    return tuple(gradients_from_layers(stack.layers, cost))
+
+def pack(layers: Sequence[np.ndarray]) -> np.ndarray:
+    """The flat state of a layer sequence, or of a batch of stacked layers."""
+    flat = layers[0].shape[:-2] + (-1,)
+    return np.concatenate([layer.reshape(flat) for layer in layers], axis=-1)
+
+
+def unpacker(shape: NetShape) -> Callable[[np.ndarray], list[np.ndarray]]:
+    """The inverse of ``pack`` for stacks of the given shape."""
+    offsets = []
+    start = 0
+    for rows, cols in layer_shapes(shape):
+        offsets.append((start, start + rows * cols, (rows, cols)))
+        start += rows * cols
+
+    def unpack(y: np.ndarray) -> list[np.ndarray]:
+        lead = y.shape[:-1]
+        return [y[..., a:b].reshape(lead + dims) for a, b, dims in offsets]
+
+    return unpack
+
+
+def flow_field(shape: NetShape, cost) -> Callable[[np.ndarray], np.ndarray]:
+    """The gradient flow's right-hand side -grad g on flat states, one or a batch."""
+    unpack = unpacker(shape)
+
+    def field(y: np.ndarray) -> np.ndarray:
+        return -pack(layer_gradients(unpack(y), cost))
+
+    return field
 
 
 def _orthonormal_columns(k: int, n: int, rng: Optional[np.random.Generator]) -> np.ndarray:

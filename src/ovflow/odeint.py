@@ -1,25 +1,30 @@
 """Explicit Runge-Kutta integration of autonomous fields.
 
-Two methods are provided: the Dormand-Prince 5(4) embedded pair with a
-proportional-integral step controller (the default), and fixed-step
-classical RK4. Both treat the state as a flat float vector; callers pack
-and unpack their own structures. ``solve_flow_batch`` runs Dormand-Prince
-on a (batch, dim) array of independent flows at once, each row stepping as
-its own ``solve_flow`` run would.
+Every method is an explicit tableau in first-same-as-last form: its last
+stage row gives the new state, so the last stage is the field there and
+opens the next step. Two tableaus are provided: the Dormand-Prince 5(4)
+embedded pair with a proportional-integral step controller (the default),
+and classical RK4, which has no error row, so every finite step is
+accepted at the fixed step h0. The state is a flat float vector; callers
+pack and unpack their own structures. ``solve_flow`` runs one flow with
+checkpoints, recording and a stop predicate; ``solve_flow_batch`` runs a
+(batch, dim) array of independent flows at once, each row stepping as its
+own ``solve_flow`` run would. Both loops serve both methods.
 
 The solver stops on whichever comes first: the field norm dropping below
 ``grad_tol`` (convergence), reaching ``t_max``, exhausting ``max_steps``,
-a non-finite state (the last finite sample is kept), or a caller-supplied
-predicate. ``checkpoints`` are times the solver must land on exactly;
-they are always recorded, which is how trajectories from different systems
-get compared on a shared time grid.
+a step whose new state or field there is non-finite (the last finite
+sample is kept; a start whose field is already non-finite stops there), or
+a caller-supplied predicate. ``checkpoints`` are times the solver must
+land on exactly; they are always recorded, which is how trajectories from
+different systems get compared on a shared time grid.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -28,20 +33,44 @@ __all__ = ["IntegratorConfig", "OdeResult", "solve_flow", "solve_flow_batch"]
 _H_MIN = 1e-12
 _H_MAX = 1.0
 
-# Dormand-Prince 5(4) tableau
-_A = (
-    np.array([0.2]),
-    np.array([3.0 / 40.0, 9.0 / 40.0]),
-    np.array([44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0]),
-    np.array([19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0]),
-    np.array([9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0]),
-    np.array([35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0]),
-)
-_B = np.array([35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0, 0.0])
-# fifth-order minus embedded fourth-order weights
-_E = np.array(
-    [71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0, -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0]
-)
+
+class _Tableau(NamedTuple):
+    """Stage rows (row i builds stage i + 1 from stages 0..i; the last row
+    gives the new state), solution weights, and error weights (None for a
+    fixed-step method)."""
+
+    a: tuple[np.ndarray, ...]
+    b: np.ndarray
+    e: Optional[np.ndarray]
+
+
+_TABLEAUS = {
+    "rk45": _Tableau(
+        a=(
+            np.array([0.2]),
+            np.array([3.0 / 40.0, 9.0 / 40.0]),
+            np.array([44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0]),
+            np.array([19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0]),
+            np.array([9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0]),
+            np.array([35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0]),
+        ),
+        b=np.array([35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0, 0.0]),
+        # fifth-order minus embedded fourth-order weights
+        e=np.array(
+            [71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0, -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0]
+        ),
+    ),
+    "rk4": _Tableau(
+        a=(
+            np.array([0.5]),
+            np.array([0.0, 0.5]),
+            np.array([0.0, 0.0, 1.0]),
+            np.array([1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0]),
+        ),
+        b=np.array([1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0, 0.0]),
+        e=None,
+    ),
+}
 
 # PI controller exponents for an order-4 error estimate
 _PI_ALPHA = 0.7 / 5.0
@@ -67,7 +96,7 @@ class IntegratorConfig:
     record_stride: int = 1
 
     def __post_init__(self):
-        if self.method not in ("rk45", "rk4"):
+        if self.method not in _TABLEAUS:
             raise ValueError(f"unknown method {self.method!r}; use 'rk45' or 'rk4'")
         for name in ("rtol", "atol", "h0", "t_max", "grad_tol"):
             value = getattr(self, name)
@@ -132,30 +161,26 @@ def solve_flow(
             n_steps=steps,
         )
 
-    k1 = np.asarray(field(y), dtype=float).ravel()
-    if not _finite(k1):
-        raise ValueError("field is non-finite at the initial state")
+    a_rows, b, e = _TABLEAUS[cfg.method]
+    stages = np.empty((len(b), y.size))
+    # blowups are expected to overflow in the field; the finiteness checks
+    # turn them into a clean stop instead of a warning cascade
     with np.errstate(over="ignore", invalid="ignore"):
-        fnorm = float(np.linalg.norm(k1))
+        stages[0] = field(y)
+        fnorm = float(np.linalg.norm(stages[0]))
     record(0.0, y, fnorm)
+    if not _finite(stages[0]):
+        return finish("non_finite", 0)
     if fnorm < cfg.grad_tol:
         return finish("converged", 0)
     if stop_when is not None and stop_when(0.0, y):
         return finish("stopped", 0)
 
-    if cfg.method == "rk4":
-        return _run_rk4(field, y, k1, fnorm, cfg, cps, stop_when, record, finish)
-    return _run_dopri(field, y, k1, fnorm, cfg, cps, stop_when, record, finish)
-
-
-def _run_dopri(field, y, k1, fnorm, cfg, cps, stop_when, record, finish):
     t = 0.0
-    h = min(max(cfg.h0, _H_MIN), _H_MAX)
+    h = cfg.h0 if e is None else min(max(cfg.h0, _H_MIN), _H_MAX)
     err_prev = 1.0
     steps = 0
     cp_idx = 0
-    stages = np.empty((7, y.size))
-    stages[0] = k1
 
     while True:
         if steps >= cfg.max_steps:
@@ -169,19 +194,19 @@ def _run_dopri(field, y, k1, fnorm, cfg, cps, stop_when, record, finish):
             h_try = bound - t
             landing = True
 
-        # blowups are expected to overflow here; the finiteness check below
-        # turns them into a clean stop instead of a warning cascade
         with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(6):
-                yi = y + h_try * (_A[i] @ stages[: i + 1])
-                stages[i + 1] = field(yi)
-            y_new = y + h_try * (_B @ stages)
-            err_vec = h_try * (_E @ stages)
-            scale = cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(y_new))
-            err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
-            fnorm_new = float(np.linalg.norm(stages[6]))  # stage 7 is the field at y_new
+            for i, row in enumerate(a_rows):
+                stages[i + 1] = field(y + h_try * (row @ stages[: i + 1]))
+            y_new = y + h_try * (b @ stages)
+            fnorm_new = float(np.linalg.norm(stages[-1]))  # the last stage is the field at y_new
+            if e is None:
+                err = 0.0
+            else:
+                err_vec = h_try * (e @ stages)
+                scale = cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(y_new))
+                err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
 
-        if not (_finite(y_new) and _finite(err_vec)):
+        if not (_finite(y_new) and _finite(stages[-1])):
             record(t, y, fnorm)
             return finish("non_finite", steps)
         if math.isnan(err):
@@ -191,7 +216,7 @@ def _run_dopri(field, y, k1, fnorm, cfg, cps, stop_when, record, finish):
             steps += 1
             t = bound if landing else t + h_try
             y = y_new
-            stages[0] = stages[6]  # first-same-as-last
+            stages[0] = stages[-1]  # first-same-as-last
             fnorm = fnorm_new
 
             hit_cp = landing and cp_idx < len(cps) and bound == cps[cp_idx]
@@ -210,11 +235,12 @@ def _run_dopri(field, y, k1, fnorm, cfg, cps, stop_when, record, finish):
                 record(t, y, fnorm)
                 return finish("stopped", steps)
 
-            err = max(err, 1e-10)
-            factor = _SAFETY * err ** (-_PI_ALPHA) * err_prev ** _PI_BETA
-            factor = min(5.0, max(0.2, factor))
-            h = min(max(h * factor, _H_MIN), _H_MAX)
-            err_prev = err
+            if e is not None:
+                err = max(err, 1e-10)
+                factor = _SAFETY * err ** (-_PI_ALPHA) * err_prev ** _PI_BETA
+                factor = min(5.0, max(0.2, factor))
+                h = min(max(h * factor, _H_MIN), _H_MAX)
+                err_prev = err
         else:
             factor = max(0.2, _SAFETY * err ** (-_PI_ALPHA))
             h = min(max(h_try * factor, _H_MIN), _H_MAX)
@@ -225,7 +251,7 @@ def solve_flow_batch(
     Y0: np.ndarray,
     cfg: IntegratorConfig,
 ) -> list[OdeResult]:
-    """Integrate dy/dt = field(y) from every row of Y0 at once with Dormand-Prince.
+    """Integrate dy/dt = field(y) from every row of Y0 at once.
 
     field maps a (b, d) array of states to their (b, d) fields row by row.
     Each row keeps its own time, step size, controller state and step count,
@@ -235,18 +261,17 @@ def solve_flow_batch(
     with ``non_finite``. Returns one OdeResult per row holding only its final
     sample: there are no checkpoints, no recording and no stop predicate.
     """
-    if cfg.method != "rk45":
-        raise ValueError(f"the batch solver is Dormand-Prince only, not {cfg.method!r}")
     Y = np.array(Y0, dtype=float)
     if not _finite(Y):
         raise ValueError("initial state contains non-finite entries")
 
+    a_rows, b, e = _TABLEAUS[cfg.method]
     n_rows = len(Y)
     t = np.zeros(n_rows)
-    h = np.full(n_rows, min(max(cfg.h0, _H_MIN), _H_MAX))
+    h = np.full(n_rows, cfg.h0 if e is None else min(max(cfg.h0, _H_MIN), _H_MAX))
     err_prev = np.ones(n_rows)
     steps = np.zeros(n_rows, dtype=int)
-    stages = np.empty((7,) + Y.shape)
+    stages = np.empty((len(b),) + Y.shape)
     with np.errstate(over="ignore", invalid="ignore"):
         stages[0] = field(Y)
         fnorm = np.linalg.norm(stages[0], axis=1)
@@ -283,30 +308,34 @@ def solve_flow_batch(
         landing = t + h >= t_end
         h_try = np.where(landing, cfg.t_max - t, h)
         hcol = h_try[:, None]
-        flat = stages.reshape(7, -1)  # a view: stage i is row i of flat
+        flat = stages.reshape(len(b), -1)  # a view: stage i is row i of flat
         with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(6):
-                stages[i + 1] = field(Y + hcol * (_A[i] @ flat[: i + 1]).reshape(Y.shape))
-            Y_new = Y + hcol * (_B @ flat).reshape(Y.shape)
-            err_vec = hcol * (_E @ flat).reshape(Y.shape)
-            finite = np.isfinite(Y_new).all(axis=1) & np.isfinite(err_vec).all(axis=1)
-            scale = cfg.atol + cfg.rtol * np.maximum(np.abs(Y), np.abs(Y_new))
-            err = np.sqrt(np.mean((err_vec / scale) ** 2, axis=1))
-        err[np.isnan(err)] = np.inf
-        accept = finite & ((err <= 1.0) | (h_try <= _H_MIN * 1.0000001))
+            for i, row in enumerate(a_rows):
+                stages[i + 1] = field(Y + hcol * (row @ flat[: i + 1]).reshape(Y.shape))
+            Y_new = Y + hcol * (b @ flat).reshape(Y.shape)
+            finite = np.isfinite(Y_new).all(axis=1) & np.isfinite(stages[-1]).all(axis=1)
+            if e is None:
+                accept = finite
+            else:
+                err_vec = hcol * (e @ flat).reshape(Y.shape)
+                scale = cfg.atol + cfg.rtol * np.maximum(np.abs(Y), np.abs(Y_new))
+                err = np.sqrt(np.mean((err_vec / scale) ** 2, axis=1))
+                err[np.isnan(err)] = np.inf
+                accept = finite & ((err <= 1.0) | (h_try <= _H_MIN * 1.0000001))
+                # fmax/fmin skip NaN the way the serial loop's max/min do; the
+                # floor also spares a zero error estimate a division by zero
+                err_acc = np.maximum(err, 1e-10)
+                grow = np.fmin(5.0, np.fmax(0.2, _SAFETY * err_acc ** (-_PI_ALPHA) * err_prev ** _PI_BETA))
+                shrink = np.fmax(0.2, _SAFETY * err_acc ** (-_PI_ALPHA))
+                h = np.where(accept, h * grow, h_try * shrink).clip(_H_MIN, _H_MAX)
+                err_prev = np.where(accept, err_acc, err_prev)
 
         steps += accept
         t = np.where(accept, np.where(landing, cfg.t_max, t + h_try), t)
         Y[accept] = Y_new[accept]
-        stages[0, accept] = stages[6, accept]
+        stages[0, accept] = stages[-1, accept]
         with np.errstate(over="ignore", invalid="ignore"):
             fnorm[accept] = np.linalg.norm(stages[0, accept], axis=1)
-            # fmax/fmin skip NaN the way the serial loop's max/min do
-            err_acc = np.maximum(err, 1e-10)
-            grow = np.fmin(5.0, np.fmax(0.2, _SAFETY * err_acc ** (-_PI_ALPHA) * err_prev ** _PI_BETA))
-            shrink = np.fmax(0.2, _SAFETY * err ** (-_PI_ALPHA))
-        h = np.where(accept, h * grow, h_try * shrink).clip(_H_MIN, _H_MAX)
-        err_prev = np.where(accept, err_acc, err_prev)
 
         stopped = ~finite
         retire(stopped, "non_finite")
@@ -319,57 +348,3 @@ def solve_flow_batch(
             hit &= accept & ~stopped
             retire(hit, reason)
             stopped |= hit
-
-
-def _run_rk4(field, y, k1, fnorm, cfg, cps, stop_when, record, finish):
-    t = 0.0
-    steps = 0
-    cp_idx = 0
-
-    while True:
-        if steps >= cfg.max_steps:
-            record(t, y, fnorm)
-            return finish("max_steps", steps)
-
-        bound = cps[cp_idx] if cp_idx < len(cps) else cfg.t_max
-        landing = False
-        h = cfg.h0
-        if t + h >= bound - 1e-14 * max(1.0, bound):
-            h = bound - t
-            landing = True
-
-        with np.errstate(over="ignore", invalid="ignore"):
-            k2 = np.asarray(field(y + 0.5 * h * k1), dtype=float).ravel()
-            k3 = np.asarray(field(y + 0.5 * h * k2), dtype=float).ravel()
-            k4 = np.asarray(field(y + h * k3), dtype=float).ravel()
-            y_new = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-        if not _finite(y_new):
-            record(t, y, fnorm)
-            return finish("non_finite", steps)
-
-        steps += 1
-        t = bound if landing else t + h
-        y = y_new
-        k1 = np.asarray(field(y), dtype=float).ravel()
-        if not _finite(k1):
-            record(t, y, fnorm)
-            return finish("non_finite", steps)
-        with np.errstate(over="ignore", invalid="ignore"):
-            fnorm = float(np.linalg.norm(k1))
-
-        hit_cp = landing and cp_idx < len(cps) and bound == cps[cp_idx]
-        if hit_cp:
-            cp_idx += 1
-        if hit_cp or steps % cfg.record_stride == 0:
-            record(t, y, fnorm)
-
-        if fnorm < cfg.grad_tol:
-            record(t, y, fnorm)
-            return finish("converged", steps)
-        if t >= cfg.t_max - 1e-14 * max(1.0, cfg.t_max):
-            record(t, y, fnorm)
-            return finish("t_max", steps)
-        if stop_when is not None and stop_when(t, y):
-            record(t, y, fnorm)
-            return finish("stopped", steps)

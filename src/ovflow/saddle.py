@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ovflow.cost import MatrixCost
-from ovflow.linnet import LayerStack, gradients_from_layers, product, write_stack_csv
+from ovflow.linnet import LayerStack, flow_field, layer_gradients, pack, product, write_stack_csv
 
 __all__ = [
     "SaddleCertificate",
@@ -114,7 +114,7 @@ def escape_direction(stack: LayerStack, cost: MatrixCost) -> EscapeDirection:
     """
     _require_two_layers(stack)
     W1, W2 = stack.layers
-    grads = gradients_from_layers(stack.layers, cost)
+    grads = layer_gradients(stack.layers, cost)
     grad_g = math.sqrt(sum(float(np.sum(g * g)) for g in grads))
     if grad_g >= _GRAD_TOL:
         raise ValueError(f"not a critical point of g: ||grad g|| = {grad_g:.3g}")
@@ -175,25 +175,15 @@ def assemble_hessian(stack: LayerStack, cost: MatrixCost, eps: float = 1e-5) -> 
     _require_two_layers(stack)
     if not 1e-7 <= eps <= 1e-3:
         raise ValueError(f"eps = {eps} outside the supported range [1e-7, 1e-3]")
-    shapes = [layer.shape for layer in stack.layers]
-    sizes = [s[0] * s[1] for s in shapes]
-    dim = sum(sizes)
-    x0 = np.concatenate([layer.ravel() for layer in stack.layers])
-
-    def grad_at(x: np.ndarray) -> np.ndarray:
-        layers = []
-        start = 0
-        for shp, size in zip(shapes, sizes):
-            layers.append(x[start : start + size].reshape(shp))
-            start += size
-        grads = gradients_from_layers(layers, cost)
-        return np.concatenate([g.ravel() for g in grads])
+    field = flow_field(stack.shape, cost)  # -grad g
+    x0 = pack(stack.layers)
+    dim = x0.size
 
     H = np.empty((dim, dim))
     for j in range(dim):
         step = np.zeros(dim)
         step[j] = eps
-        H[:, j] = (grad_at(x0 + step) - grad_at(x0 - step)) / (2.0 * eps)
+        H[:, j] = (field(x0 - step) - field(x0 + step)) / (2.0 * eps)
     return 0.5 * (H + H.T)
 
 

@@ -271,7 +271,7 @@ def test_criterion_12_derivative_oracles():
             k = n + int(rng.integers(0, 4))
             cost = QuadraticMatrixCost(np.eye(n) + 0.3 * rng.standard_normal((n, n)))
             stack = random_init(NetShape(n, k, depth), seed=400 + i, scale=0.6)
-            exact = layer_gradients(stack, cost)
+            exact = layer_gradients(stack.layers, cost)
             approx = fd_layer_gradients(stack.layers, cost)
             for got, want in zip(exact, approx):
                 worst_grad = max(worst_grad, rel_err(got, want))

@@ -5,8 +5,6 @@ import pytest
 
 from ovflow.cost import QuadraticMatrixCost, parse_scalar_cost
 from ovflow.flow import (
-    _field,
-    _pack,
     detect_convergence,
     integrate,
     integrate_baseline,
@@ -15,7 +13,7 @@ from ovflow.flow import (
     write_trajectory_csv,
 )
 from ovflow.invariant import drift
-from ovflow.linnet import NetShape, balanced_init, random_init
+from ovflow.linnet import NetShape, balanced_init, flow_field, pack, random_init
 from ovflow.odeint import IntegratorConfig, solve_flow, solve_flow_batch
 from ovflow.scalarcase import anti_balanced, to_stack
 
@@ -150,34 +148,54 @@ def test_sweep_of_no_seeds_and_of_a_mismatched_cost():
         sweep(NetShape(3, 4, 2), COST, SWEEP_CFG, [0, 1], scale=0.5)
 
 
-def test_sweep_labels_diverging_runs_undecided():
+@pytest.mark.parametrize("method", ["rk45", "rk4"])
+def test_sweep_labels_diverging_runs_undecided(method):
     # f = -w^2 sends every start off to infinity; at scale 1e100 the field
-    # already overflows at the start
-    diverging = sweep(NetShape(1, 2, 2), parse_scalar_cost("-(w^2)").as_matrix(), SWEEP_CFG,
-                      range(4), scale=1.5)
-    huge = sweep(NetShape(2, 3, 2), COST, SWEEP_CFG, [0, 1], scale=1e100)
-    assert {(r.label, r.note) for r in diverging + huge} == {("undecided", "stopped on non_finite")}
+    # already overflows at the start, and at 1e160 the product does too
+    cfg = IntegratorConfig(method=method, rtol=1e-8, atol=1e-10, t_max=50.0)
+    diverging = sweep(NetShape(1, 2, 2), parse_scalar_cost("-(w^2)").as_matrix(), cfg, range(4), scale=1.5)
+    huge = sweep(NetShape(2, 3, 2), COST, cfg, [0, 1], scale=1e100)
+    huger = sweep(NetShape(2, 3, 2), COST, cfg, [0], scale=1e160)
+    labels = {(r.label, r.note) for r in diverging + huge + huger}
+    assert labels == {("undecided", "stopped on non_finite")}
+    start = integrate(random_init(NetShape(2, 3, 2), seed=0, scale=1e160), COST, cfg)
+    assert start.stop_reason == "non_finite"
+    assert [s.t for s in start.samples] == [0.0]
 
 
-def test_batch_rows_step_like_serial_solves():
+BATCH_CASES = {
+    "rk45": (MIXED_STOPS_CFG, {"converged", "t_max", "max_steps"}),
+    # a fixed step brings every row to t_max after the same number of steps,
+    # so only convergence can end a row earlier
+    "rk4": (IntegratorConfig(method="rk4", h0=0.05, t_max=7.98, grad_tol=1e-6), {"converged", "t_max"}),
+}
+
+
+@pytest.mark.parametrize("method", sorted(BATCH_CASES))
+def test_batch_rows_step_like_serial_solves(method):
+    cfg, reasons = BATCH_CASES[method]
     shape = NetShape(2, 3, 2)
-    field = _field(shape, COST)
-    Y0 = np.stack([_pack(random_init(shape, seed=s, scale=0.5).layers) for s in range(12)])
-    batch = solve_flow_batch(field, Y0, MIXED_STOPS_CFG)
-    assert {r.stop_reason for r in batch} == {"converged", "t_max", "max_steps"}
+    field = flow_field(shape, COST)
+    Y0 = np.stack([pack(random_init(shape, seed=s, scale=0.5).layers) for s in range(12)])
+    batch = solve_flow_batch(field, Y0, cfg)
+    assert {r.stop_reason for r in batch} == reasons
     for y0, got in zip(Y0, batch):
-        want = solve_flow(field, y0, MIXED_STOPS_CFG)
+        want = solve_flow(field, y0, cfg)
         assert (got.stop_reason, got.n_steps) == (want.stop_reason, want.n_steps)
         np.testing.assert_allclose(got.t, want.t[-1:], rtol=1e-7)
         np.testing.assert_allclose(got.y, want.y[-1:], rtol=0, atol=1e-9)
 
     # y' = y^2 blows up at t = 1/y0 for y0 > 0 and decays for y0 < 0
-    blowup = IntegratorConfig(t_max=5.0)
-    batch = solve_flow_batch(lambda y: y * y, np.array([[1.0], [0.5], [-1.0]]), blowup)
+    short = IntegratorConfig(method=method, t_max=5.0)
+    batch = solve_flow_batch(lambda y: y * y, np.array([[1.0], [0.5], [-1.0]]), short)
     assert [r.stop_reason for r in batch] == ["non_finite", "non_finite", "t_max"]
     for y0, got in zip([1.0, 0.5, -1.0], batch):
-        want = solve_flow(lambda y: y * y, np.array([y0]), blowup)
+        want = solve_flow(lambda y: y * y, np.array([y0]), short)
         assert (got.stop_reason, got.n_steps) == (want.stop_reason, want.n_steps)
+
+    # a constant field gives error estimates of zero, up to rounding
+    batch = solve_flow_batch(np.ones_like, np.array([[0.0], [2.0]]), short)
+    assert [r.stop_reason for r in batch] == ["t_max", "t_max"]
 
 
 def test_trajectory_csv_round_trip(tmp_path):

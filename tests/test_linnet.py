@@ -84,7 +84,7 @@ def test_layer_gradients_match_fd_fixed_cases():
         shape = NetShape(n=2, k=2 if depth == 1 else 4, depth=depth)
         layers = [rng.normal(0.0, 0.6, s) for s in layer_shapes(shape)]
         stack = LayerStack.from_layers(layers)
-        grads = layer_gradients(stack, cost)
+        grads = layer_gradients(stack.layers, cost)
         want = fd_layer_gradients(list(stack.layers), cost)
         for got, ref in zip(grads, want):
             assert rel_err(got, ref) < 1e-6
@@ -102,7 +102,7 @@ def test_layer_gradients_match_fd_property(depth, n, extra, seed):
     cost = QuadraticMatrixCost(np.eye(n) + 0.1)
     rng = np.random.default_rng(seed)
     stack = LayerStack.from_layers([rng.normal(0.0, 0.5, s) for s in layer_shapes(shape)])
-    grads = layer_gradients(stack, cost)
+    grads = layer_gradients(stack.layers, cost)
     want = fd_layer_gradients(list(stack.layers), cost)
     for got, ref in zip(grads, want):
         assert rel_err(got, ref) < 1e-6
@@ -193,7 +193,7 @@ def test_stack_csv_round_trip_is_exact(tmp_path):
 def test_scalar_cost_drives_gradients_too():
     cost = parse_scalar_cost("(1 - w)^2").as_matrix()
     stack = LayerStack.from_layers([np.array([[0.3], [0.4]]), np.array([[0.5, -0.2]])])
-    grads = layer_gradients(stack, cost)
+    grads = layer_gradients(stack.layers, cost)
     want = fd_layer_gradients(list(stack.layers), cost)
     for got, ref in zip(grads, want):
         assert rel_err(got, ref) < 1e-6
