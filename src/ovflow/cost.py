@@ -24,8 +24,8 @@ responsibility; costs built with '/' carry ``uses_division = True``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import ClassVar, Optional, Union
+from dataclasses import dataclass, field, fields
+from typing import Callable, ClassVar, Optional, Union
 
 import numpy as np
 
@@ -104,7 +104,8 @@ class Pow(Expr):
 
 def evaluate(expr: Expr, w: float) -> float:
     """Evaluate an expression tree at w. Overflow and division by zero are
-    reported as non-finite values rather than raised."""
+    reported as non-finite values rather than raised. This tree walk is the
+    reference that ``compile_expr`` closures are tested against."""
     if isinstance(expr, Num):
         return expr.value
     if isinstance(expr, Var):
@@ -129,6 +130,46 @@ def evaluate(expr: Expr, w: float) -> float:
             return base ** expr.exponent
         except (OverflowError, ZeroDivisionError):
             return math.inf if expr.exponent >= 0 else math.nan
+    raise TypeError(f"unknown node {expr!r}")
+
+
+def _div(num: float, den: float) -> float:
+    if den == 0.0:
+        return math.nan if num == 0.0 else math.copysign(math.inf, num)
+    return num / den
+
+
+def _pow(base: float, exponent: int) -> float:
+    try:
+        return base ** exponent
+    except (OverflowError, ZeroDivisionError):
+        return math.inf if exponent >= 0 else math.nan
+
+
+def compile_expr(expr: Expr) -> Callable[[float], float]:
+    """A closure computing ``evaluate(expr, w)`` with the same float
+    operations in the same order, so its results are bit-identical; it
+    walks the tree once instead of on every call."""
+    if isinstance(expr, Num):
+        value = expr.value
+        return lambda w: value
+    if isinstance(expr, Var):
+        return lambda w: w
+    if isinstance(expr, Neg):
+        arg = compile_expr(expr.arg)
+        return lambda w: -arg(w)
+    if isinstance(expr, Pow):
+        base, exponent = compile_expr(expr.base), expr.exponent
+        return lambda w: _pow(base(w), exponent)
+    left, right = compile_expr(expr.left), compile_expr(expr.right)
+    if isinstance(expr, Add):
+        return lambda w: left(w) + right(w)
+    if isinstance(expr, Sub):
+        return lambda w: left(w) - right(w)
+    if isinstance(expr, Mul):
+        return lambda w: left(w) * right(w)
+    if isinstance(expr, Div):
+        return lambda w: _div(left(w), right(w))
     raise TypeError(f"unknown node {expr!r}")
 
 
@@ -441,7 +482,8 @@ class ScalarCost:
 
     ``min_value`` is the self-declared infimum of f when known; it stays None
     otherwise and routines that need it (the gradient-dominance check) fall
-    back to a grid minimum.
+    back to a grid minimum. The three expressions are compiled to closures
+    once, at construction.
     """
 
     text: str
@@ -450,17 +492,29 @@ class ScalarCost:
     second_derivative: Expr
     min_value: Optional[float] = None
     uses_division: bool = False
+    _value: Callable[[float], float] = field(init=False, repr=False, compare=False)
+    _deriv: Callable[[float], float] = field(init=False, repr=False, compare=False)
+    _second: Callable[[float], float] = field(init=False, repr=False, compare=False)
 
     kind: ClassVar[str] = "scalar_expr"
 
+    def __post_init__(self):
+        object.__setattr__(self, "_value", compile_expr(self.expression))
+        object.__setattr__(self, "_deriv", compile_expr(self.derivative))
+        object.__setattr__(self, "_second", compile_expr(self.second_derivative))
+
+    def __reduce__(self):
+        # closures do not pickle; the unpickled cost compiles them afresh
+        return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
+
     def value(self, w: float) -> float:
-        return evaluate(self.expression, w)
+        return self._value(w)
 
     def deriv(self, w: float) -> float:
-        return evaluate(self.derivative, w)
+        return self._deriv(w)
 
     def second(self, w: float) -> float:
-        return evaluate(self.second_derivative, w)
+        return self._second(w)
 
     def sign_at_zero(self) -> int:
         """Sign of f'(0); raises when f'(0) = 0 because the anti-balanced

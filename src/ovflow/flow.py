@@ -4,9 +4,10 @@
 
     dW_i/dt = -(W_N ... W_{i+1})^T grad f(W) (W_{i-1} ... W_1)^T,
 
-``integrate_baseline`` runs dW/dt = -grad f(W) on the plain matrix state
-(stored as a depth-1 stack so the same reporting works), and ``sweep``
-classifies the limits of a batch of random initializations.
+``integrate_batch`` runs many same-shape starts at once to their final
+states, ``integrate_baseline`` runs dW/dt = -grad f(W) on the plain matrix
+state (stored as a depth-1 stack so the same reporting works), and
+``sweep`` classifies the limits of a batch of random initializations.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ __all__ = [
     "Trajectory",
     "LimitClass",
     "integrate",
+    "integrate_batch",
     "integrate_baseline",
     "detect_convergence",
     "sweep",
@@ -96,6 +98,27 @@ def integrate(
     return _as_trajectory(result, shape, cost, cfg)
 
 
+def integrate_batch(stacks: Sequence[LayerStack], cost: MatrixCost, cfg: IntegratorConfig) -> list[Trajectory]:
+    """Run the factored gradient flow from every stack at once.
+
+    The stacks must share one shape. Each comes back as a one-sample
+    Trajectory holding its final state; rows step as their own ``integrate``
+    runs would (see ``solve_flow_batch`` for the rounding caveat). There are
+    no checkpoints.
+    """
+    if not stacks:
+        return []
+    shapes = {stack.shape for stack in stacks}
+    if len(shapes) > 1:
+        raise ValueError(f"stacks of several shapes in one batch: {sorted(map(str, shapes))}")
+    shape = stacks[0].shape
+    if shape.n != cost.n:
+        raise ValueError(f"stack n={shape.n} does not match cost n={cost.n}")
+    starts = np.stack([pack(stack.layers) for stack in stacks])
+    results = solve_flow_batch(flow_field(shape, cost), starts, cfg)
+    return [_as_trajectory(result, shape, cost, cfg) for result in results]
+
+
 def integrate_baseline(
     W0: np.ndarray,
     cost: MatrixCost,
@@ -141,17 +164,14 @@ def sweep(
 ) -> list[LimitClass]:
     """Integrate one random initialization per seed and classify each limit.
 
-    All starts are integrated together as one batch, each row stepping as
+    All starts go through one ``integrate_batch`` call, each row stepping as
     its own ``integrate`` run would. Results are ordered like ``seeds``, so
     a sweep is reproducible from the seed list alone.
     """
     if shape.n != cost.n:
         raise ValueError(f"shape n={shape.n} does not match cost n={cost.n}")
-    starts = [pack(random_init(shape, seed=seed, scale=scale).layers) for seed in seeds]
-    if not starts:
-        return []
-    results = solve_flow_batch(flow_field(shape, cost), np.stack(starts), cfg)
-    return [detect_convergence(_as_trajectory(result, shape, cost, cfg), cost) for result in results]
+    stacks = [random_init(shape, seed=seed, scale=scale) for seed in seeds]
+    return [detect_convergence(traj, cost) for traj in integrate_batch(stacks, cost, cfg)]
 
 
 def write_trajectory_csv(traj: Trajectory, cost: MatrixCost, path: str) -> None:

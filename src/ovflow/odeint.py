@@ -256,10 +256,17 @@ def solve_flow_batch(
     field maps a (b, d) array of states to their (b, d) fields row by row.
     Each row keeps its own time, step size, controller state and step count,
     and measures its error over its own entries, so it makes the accept and
-    reject decisions that its solve_flow run makes. A row leaves the batch
-    when it stops; a row whose field is non-finite at the start stops there
-    with ``non_finite``. Returns one OdeResult per row holding only its final
-    sample: there are no checkpoints, no recording and no stop predicate.
+    reject decisions that its solve_flow run makes as long as its error
+    estimate sits well above rounding. The stage sums are taken over the
+    whole batch at once and can round differently from the serial sums: a
+    row's state may differ from its serial run's in the last bits (more
+    where the flow amplifies perturbations, as on the way into a saddle),
+    and an error estimate at rounding level (a constant field, whose serial
+    error is exactly 0) may get other step-size factors and so another step
+    count. A row leaves the batch when it stops; a row whose field is
+    non-finite at the start stops there with ``non_finite``. Returns one
+    OdeResult per row holding only its final sample: there are no
+    checkpoints, no recording and no stop predicate.
     """
     Y = np.array(Y0, dtype=float)
     if not _finite(Y):

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ovflow.cost import PdpliReport, ScalarCost, pdpli_check
-from ovflow.flow import Trajectory, detect_convergence, integrate
+from ovflow.flow import Trajectory, detect_convergence, integrate, integrate_batch
 from ovflow.linnet import LayerStack, NetShape
 from ovflow.odeint import IntegratorConfig, solve_flow
 
@@ -287,9 +287,11 @@ def dichotomy_experiment(
     Generic starts (d > 0) must drive f to its infimum; anti-balanced
     starts (d = 0) must collapse to the origin, where f keeps the value
     f(0). Preconditions checked here: f'(0) != 0, f(0) above the infimum,
-    and the gradient-dominance scan passing on the given interval.
+    and the gradient-dominance scan passing on the given interval. Only
+    each run's final state is read, so all starts are integrated together
+    through one ``integrate_batch`` call.
     """
-    s = cost.sign_at_zero()
+    runs = _dichotomy_starts(cost, k, n_generic, n_anti, seed)  # raises first when f'(0) = 0
     report = pdpli_check(cost, scan_interval)
     if not report.passed:
         raise ValueError(f"cost fails the gradient-dominance scan at w = {report.witness}")
@@ -297,26 +299,10 @@ def dichotomy_experiment(
     if not cost.value(0.0) > fmin + 1e-9:
         raise ValueError("f(0) must sit strictly above the infimum for the dichotomy to bite")
 
-    rng = np.random.default_rng(seed)
-    runs = []
-
-    for _ in range(n_generic):
-        w1 = rng.normal(0.0, 0.5, size=k)
-        w2 = rng.normal(0.0, 0.5, size=k)
-        while np.linalg.norm(w1 - s * w2) < 0.05:
-            w1 = rng.normal(0.0, 0.5, size=k)
-            w2 = rng.normal(0.0, 0.5, size=k)
-        runs.append(("generic", ScalarPairState(w1=w1, w2=w2)))
-
-    for _ in range(n_anti):
-        w2 = rng.normal(0.0, 0.5, size=k)
-        while np.linalg.norm(w2) < 0.05:
-            w2 = rng.normal(0.0, 0.5, size=k)
-        runs.append(("anti_balanced", anti_balanced(w2, cost)))
-
+    matrix_cost = cost.as_matrix()
+    trajs = integrate_batch([to_stack(state0) for _, state0 in runs], matrix_cost, cfg)
     results = []
-    for kind, state0 in runs:
-        traj = full_flow(state0, cost, cfg)
+    for (kind, state0), traj in zip(runs, trajs):
         final = traj.final
         final_state = state_from_stack(final.stack)
         results.append(
@@ -328,7 +314,7 @@ def dichotomy_experiment(
                 final_state_norm=float(
                     np.linalg.norm(np.concatenate([final_state.w1, final_state.w2]))
                 ),
-                label=detect_convergence(traj, cost.as_matrix()).label,
+                label=detect_convergence(traj, matrix_cost).label,
             )
         )
 
@@ -347,6 +333,31 @@ def dichotomy_experiment(
         generic_converged=generic_ok,
         anti_converged_to_origin=anti_ok,
     )
+
+
+def _dichotomy_starts(
+    cost: ScalarCost, k: int, n_generic: int, n_anti: int, seed: int
+) -> list[tuple[str, ScalarPairState]]:
+    """The battery's (kind, start) pairs: generic starts at d >= 0.05, then
+    anti-balanced starts with ||w2|| >= 0.05, all drawn from one seeded RNG."""
+    s = cost.sign_at_zero()
+    rng = np.random.default_rng(seed)
+    runs = []
+
+    for _ in range(n_generic):
+        w1 = rng.normal(0.0, 0.5, size=k)
+        w2 = rng.normal(0.0, 0.5, size=k)
+        while np.linalg.norm(w1 - s * w2) < 0.05:
+            w1 = rng.normal(0.0, 0.5, size=k)
+            w2 = rng.normal(0.0, 0.5, size=k)
+        runs.append(("generic", ScalarPairState(w1=w1, w2=w2)))
+
+    for _ in range(n_anti):
+        w2 = rng.normal(0.0, 0.5, size=k)
+        while np.linalg.norm(w2) < 0.05:
+            w2 = rng.normal(0.0, 0.5, size=k)
+        runs.append(("anti_balanced", anti_balanced(w2, cost)))
+    return runs
 
 
 def _grid_min(cost: ScalarCost, interval: tuple[float, float]) -> float:

@@ -1,6 +1,7 @@
 """Expression parsing, symbolic differentiation, and the gradient-dominance scan."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -128,6 +129,38 @@ def test_second_derivative_matches_fd_of_first(w):
     cost = parse_scalar_cost("(w^2 - 1)^2")
     fd = fd_scalar_derivative(cost.deriv, w)
     assert abs(cost.second(w) - fd) <= 1e-5 * max(1.0, abs(cost.second(w)))
+
+
+EDGE_FLOATS = [0.0, -0.0, 1.0, -1.0, 1e308, -1e308, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-200]
+
+
+def _same_float(a, b):
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(w=st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(), st.floats(-3.0, 3.0)))
+@pytest.mark.parametrize(
+    "text",
+    ["1 / w", "w / w", "w^9", "w^-2", "(w + 1)^-3 / (w - 1)", "(1 - w)^2 * (4 - w)^2 - 3 / (1 + w^2)"],
+)
+def test_compiled_closures_match_evaluate_bit_for_bit(text, w):
+    cost = parse_scalar_cost(text)
+    for compiled, tree in (
+        (cost.value, cost.expression),
+        (cost.deriv, cost.derivative),
+        (cost.second, cost.second_derivative),
+    ):
+        assert _same_float(compiled(w), evaluate(tree, w)), (to_string(tree), w)
+
+
+def test_scalar_cost_survives_pickling():
+    cost = parse_scalar_cost("(w + 1)^-3 / (w - 1)")
+    again = pickle.loads(pickle.dumps(cost))
+    assert again == cost
+    assert (again.value(0.5), again.deriv(0.5), again.second(0.5)) == scalar_eval(cost, 0.5)
 
 
 def test_simplify_folds_constants():

@@ -8,6 +8,7 @@ from ovflow.flow import (
     detect_convergence,
     integrate,
     integrate_baseline,
+    integrate_batch,
     read_trajectory_csv,
     sweep,
     write_trajectory_csv,
@@ -146,6 +147,15 @@ def test_sweep_of_no_seeds_and_of_a_mismatched_cost():
     assert sweep(NetShape(2, 3, 2), COST, SWEEP_CFG, [], scale=0.5) == []
     with pytest.raises(ValueError, match="does not match"):
         sweep(NetShape(3, 4, 2), COST, SWEEP_CFG, [0, 1], scale=0.5)
+
+
+def test_integrate_batch_checks_its_stacks():
+    assert integrate_batch([], COST, SWEEP_CFG) == []
+    mixed = [random_init(NetShape(2, 3, 2), 0, 0.5), random_init(NetShape(2, 4, 2), 0, 0.5)]
+    with pytest.raises(ValueError, match="several shapes"):
+        integrate_batch(mixed, COST, SWEEP_CFG)
+    with pytest.raises(ValueError, match="does not match"):
+        integrate_batch([random_init(NetShape(3, 4, 2), 0, 0.5)], COST, SWEEP_CFG)
 
 
 def test_sweep_labels_diverging_runs_undecided():

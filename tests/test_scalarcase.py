@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from ovflow.cost import parse_scalar_cost
-from ovflow.flow import integrate
-from ovflow.odeint import IntegratorConfig
+from ovflow.flow import detect_convergence, integrate
+from ovflow.linnet import flow_field, pack
+from ovflow.odeint import IntegratorConfig, solve_flow, solve_flow_batch
 from ovflow.scalarcase import (
     ReducedTrajectory,
     ScalarPairState,
@@ -23,6 +24,7 @@ from ovflow.scalarcase import (
     reparameterize_time,
     state_from_stack,
     to_stack,
+    _dichotomy_starts,
 )
 
 WELL = parse_scalar_cost("(1 - w)^2", min_value=0.0)
@@ -173,3 +175,27 @@ def test_dichotomy_preconditions():
     flat_at_zero = parse_scalar_cost("w^2")
     with pytest.raises(ValueError):
         dichotomy_experiment(flat_at_zero, 2, cfg)  # f'(0) = 0: no sign
+
+
+@pytest.mark.parametrize("text", ["(1 - w)^2", "(2 - w)^2"])
+def test_batched_dichotomy_matches_serial_runs(text):
+    cost = parse_scalar_cost(text, min_value=0.0)
+    cfg = IntegratorConfig(rtol=1e-10, atol=1e-12, t_max=50.0)
+    report = dichotomy_experiment(cost, 2, cfg, n_generic=6, n_anti=3, seed=4)
+    starts = _dichotomy_starts(cost, 2, 6, 3, seed=4)
+    assert [run.kind for run in report.runs] == [kind for kind, _ in starts]
+    for run, (_, state0) in zip(report.runs, starts):
+        assert run.d0 == d_metric(state0, cost) and run.D0 == conserved_D(state0)
+        traj = full_flow(state0, cost, cfg)
+        final = state_from_stack(traj.final.stack)
+        assert run.label == detect_convergence(traj, cost.as_matrix()).label
+        assert abs(run.final_cost - traj.final.cost) <= 1e-12
+        assert abs(run.final_state_norm - np.linalg.norm(np.concatenate([final.w1, final.w2]))) <= 1e-12
+
+    # the batch rows make their serial solves' step decisions
+    stacks = [to_stack(state0) for _, state0 in starts]
+    field = flow_field(stacks[0].shape, cost.as_matrix())
+    Y0 = np.stack([pack(stack.layers) for stack in stacks])
+    for y0, row in zip(Y0, solve_flow_batch(field, Y0, cfg)):
+        serial = solve_flow(field, y0, cfg)
+        assert (row.stop_reason, row.n_steps) == (serial.stop_reason, serial.n_steps)
