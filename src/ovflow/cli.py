@@ -21,10 +21,10 @@ from typing import Optional
 
 import numpy as np
 
-from ovflow.cost import ParseError, QuadraticMatrixCost, ScalarCost, parse_scalar_cost, scalar_eval, to_string
+from ovflow.cost import ParseError, QuadraticMatrixCost, ScalarCost, parse_scalar_cost, to_string
 from ovflow.flow import integrate, integrate_baseline, sweep, write_trajectory_csv
 from ovflow.invariant import drift, invariants, norm_chain_residual
-from ovflow.linnet import LayerStack, NetShape, balanced_init, product, random_init, read_stack_csv, rescale_pair
+from ovflow.linnet import LayerStack, NetShape, balanced_init, layer_shapes, product, random_init, read_stack_csv, rescale_pair
 from ovflow.odeint import IntegratorConfig
 from ovflow.saddle import certify_strict_saddle, write_certificate_csv
 from ovflow.scalarcase import (
@@ -68,9 +68,8 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 @dataclass(frozen=True)
 class RunConfig:
-    cost_kind: str
     cost: object  # QuadraticMatrixCost or ScalarMatrixCost
-    scalar: Optional[ScalarCost]
+    scalar: Optional[ScalarCost]  # None for a matrix cost
     net: NetShape
     init_mode: str
     seed: int
@@ -190,7 +189,6 @@ def load_config(path: str) -> RunConfig:
         raise UsageError(f"bad integrator settings: {exc}") from exc
 
     return RunConfig(
-        cost_kind=kind,
         cost=cost,
         scalar=scalar,
         net=net,
@@ -218,7 +216,7 @@ def build_initial_stack(config: RunConfig) -> LayerStack:
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
     # balanced and pair_rescale factor a target through the stack
-    if config.cost_kind == "matrix_quadratic":
+    if config.scalar is None:
         target = config.cost.target
     else:
         # scalar cost: factor the 1 x 1 matrix [[scale]]
@@ -426,8 +424,7 @@ def _cmd_saddle_certify(args) -> int:
             raise UsageError(f"cannot load stack {args.stack}: {exc}") from exc
     else:
         # the canonical spurious critical point: both layers zero
-        shapes = [(config.net.k, config.net.n), (config.net.n, config.net.k)]
-        stack = LayerStack(config.net, tuple(np.zeros(s) for s in shapes))
+        stack = LayerStack(config.net, tuple(np.zeros(s) for s in layer_shapes(config.net)))
     try:
         cert = certify_strict_saddle(stack, config.cost)
     except ValueError as exc:
@@ -504,7 +501,7 @@ def _cmd_parse_cost(args) -> int:
     print(f"f'(w)  = {to_string(cost.derivative)}")
     print(f"f''(w) = {to_string(cost.second_derivative)}")
     if args.at is not None:
-        f, d, dd = scalar_eval(cost, args.at)
+        f, d, dd = cost.value(args.at), cost.deriv(args.at), cost.second(args.at)
         print(f"at w = {args.at:g}: f = {f:.12g}, f' = {d:.12g}, f'' = {dd:.12g}")
     if cost.uses_division:
         print("note: expression uses division; properness is not checked", file=sys.stderr)

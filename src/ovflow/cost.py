@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import Callable, ClassVar, Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -36,7 +36,6 @@ __all__ = [
     "QuadraticMatrixCost",
     "PdpliReport",
     "parse_scalar_cost",
-    "scalar_eval",
     "pdpli_check",
 ]
 
@@ -104,8 +103,9 @@ class Pow(Expr):
 
 def evaluate(expr: Expr, w: float) -> float:
     """Evaluate an expression tree at w. Overflow and division by zero are
-    reported as non-finite values rather than raised. This tree walk is the
-    reference that ``compile_expr`` closures are tested against."""
+    reported as non-finite values rather than raised: a power that overflows
+    or divides by zero gives the infinity of its true sign. This tree walk is
+    the reference that ``compile_expr`` closures are tested against."""
     if isinstance(expr, Num):
         return expr.value
     if isinstance(expr, Var):
@@ -129,7 +129,7 @@ def evaluate(expr: Expr, w: float) -> float:
         try:
             return base ** expr.exponent
         except (OverflowError, ZeroDivisionError):
-            return math.inf if expr.exponent >= 0 else math.nan
+            return math.copysign(math.inf, base) if expr.exponent % 2 else math.inf
     raise TypeError(f"unknown node {expr!r}")
 
 
@@ -143,7 +143,7 @@ def _pow(base: float, exponent: int) -> float:
     try:
         return base ** exponent
     except (OverflowError, ZeroDivisionError):
-        return math.inf if exponent >= 0 else math.nan
+        return math.copysign(math.inf, base) if exponent % 2 else math.inf
 
 
 def compile_expr(expr: Expr) -> Callable[[float], float]:
@@ -235,8 +235,10 @@ def simplify(expr: Expr) -> Expr:
             return Num(1.0)
         if expr.exponent == 1:
             return b
-        if isinstance(b, Num) and math.isfinite(b.value**expr.exponent):
-            return Num(float(b.value**expr.exponent))
+        if isinstance(b, Num):
+            folded = _pow(b.value, expr.exponent)
+            if math.isfinite(folded):
+                return Num(folded)
         return Pow(b, expr.exponent)
 
     lhs = simplify(expr.left)
@@ -385,7 +387,6 @@ def _tokenize(text: str) -> list[tuple[str, Union[float, str], int]]:
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.saw_division = False
@@ -496,8 +497,6 @@ class ScalarCost:
     _deriv: Callable[[float], float] = field(init=False, repr=False, compare=False)
     _second: Callable[[float], float] = field(init=False, repr=False, compare=False)
 
-    kind: ClassVar[str] = "scalar_expr"
-
     def __post_init__(self):
         object.__setattr__(self, "_value", compile_expr(self.expression))
         object.__setattr__(self, "_deriv", compile_expr(self.derivative))
@@ -535,16 +534,9 @@ class ScalarMatrixCost:
 
     scalar: ScalarCost
 
-    kind: ClassVar[str] = "scalar_expr"
-    rank_verified: ClassVar[bool] = False
-
     @property
     def n(self) -> int:
         return 1
-
-    @property
-    def min_value(self) -> Optional[float]:
-        return self.scalar.min_value
 
     def value(self, W: np.ndarray) -> float:
         # W[..., 0, 0] makes a stack of several matrices fail loudly in float()
@@ -569,11 +561,6 @@ class QuadraticMatrixCost:
     """
 
     target: np.ndarray
-
-    kind: ClassVar[str] = "matrix_quadratic"
-    min_value: ClassVar[float] = 0.0
-    rank_verified: ClassVar[bool] = True
-    domain_note: ClassVar[str] = "defined and real-analytic on all of R^{n x n}"
 
     def __post_init__(self):
         target = np.array(self.target, dtype=float)
@@ -634,11 +621,6 @@ def parse_scalar_cost(text: str, min_value: Optional[float] = None) -> ScalarCos
     )
 
 
-def scalar_eval(cost: ScalarCost, w: float) -> tuple[float, float, float]:
-    """(f(w), f'(w), f''(w)); non-finite entries signal overflow at w."""
-    return cost.value(w), cost.deriv(w), cost.second(w)
-
-
 @dataclass(frozen=True)
 class PdpliReport:
     """Outcome of the pointwise gradient-dominance scan.
@@ -653,36 +635,24 @@ class PdpliReport:
     alpha_scale: float
 
 
-def pdpli_check(
-    cost: ScalarCost,
-    interval: tuple[float, float],
-    grid_points: int = 601,
-    min_value: Optional[float] = None,
-) -> PdpliReport:
-    """Scan |f'| / sqrt(f - fmin) on a uniform grid over the interval.
+def pdpli_check(cost: ScalarCost, interval: tuple[float, float]) -> PdpliReport:
+    """Scan |f'| / sqrt(f - fmin) on a uniform 601-point grid over the interval.
 
-    fmin defaults to the cost's declared min_value, else the grid minimum.
+    fmin is the cost's declared min_value, else the grid minimum.
     Points with f within 1e-12 of fmin are skipped: the ratio is 0/0 there.
     The check passes when the worst ratio stays above a small positive floor.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"bad interval ({lo}, {hi})")
-    if grid_points < 3:
-        raise ValueError("grid_points must be at least 3")
 
-    grid = np.linspace(lo, hi, grid_points)
+    grid = np.linspace(lo, hi, 601)
     f = np.array([cost.value(w) for w in grid])
     fp = np.array([cost.deriv(w) for w in grid])
     if not (np.all(np.isfinite(f)) and np.all(np.isfinite(fp))):
         raise ValueError("cost evaluates to non-finite values on the interval")
 
-    if min_value is not None:
-        fmin = float(min_value)
-    elif cost.min_value is not None:
-        fmin = float(cost.min_value)
-    else:
-        fmin = float(f.min())
+    fmin = float(f.min()) if cost.min_value is None else float(cost.min_value)
     if f.min() < fmin - 1e-9:
         raise ValueError(f"grid values drop below the declared minimum {fmin}")
 

@@ -134,10 +134,11 @@ def integrate_baseline(
     return integrate(stack0, cost, cfg, checkpoints=checkpoints)
 
 
-def detect_convergence(traj: Trajectory, cost: MatrixCost, tol_f: float = 1e-6) -> LimitClass:
+def detect_convergence(traj: Trajectory, cost: MatrixCost) -> LimitClass:
     """Classify where a trajectory ended.
 
-    critical_of_f: the end-to-end map is a critical point of f itself.
+    critical_of_f: the end-to-end map is a critical point of f itself
+    (||grad f|| below 1e-6).
     spurious_critical_of_g: grad g vanished while grad f did not, so the
     factorization, not the objective, stalled the flow.
     undecided: the run stopped before either test resolves (time or step
@@ -148,7 +149,7 @@ def detect_convergence(traj: Trajectory, cost: MatrixCost, tol_f: float = 1e-6) 
     with np.errstate(over="ignore", invalid="ignore"):
         grad_f_norm = float(np.linalg.norm(cost.gradient(product(final.stack))))
     grad_g_norm = final.grad_norm
-    if grad_f_norm < tol_f:
+    if grad_f_norm < 1e-6:
         return LimitClass("critical_of_f", grad_f_norm, grad_g_norm)
     if grad_g_norm < traj.config.grad_tol:
         return LimitClass("spurious_critical_of_g", grad_f_norm, grad_g_norm)

@@ -103,7 +103,6 @@ def drift(traj) -> float:
     The max of ``drift_series`` over the samples. Zero for an exact flow;
     for a numerical one this is the conservation error of the integrator.
     """
-    samples = getattr(traj, "samples", traj)
-    if len(samples) == 0:
+    if len(traj.samples) == 0:
         raise ValueError("empty trajectory")
-    return max(d for d, _ in drift_series(samples))
+    return max(d for d, _ in drift_series(traj.samples))

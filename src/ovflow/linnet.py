@@ -273,7 +273,12 @@ def write_stack_csv(stack: LayerStack, path: str) -> None:
 
 
 def read_stack_csv(path: str) -> LayerStack:
-    """Inverse of write_stack_csv."""
+    """Inverse of write_stack_csv.
+
+    Every cell of every layer must appear exactly once; a short row, a
+    repeated or missing cell, or an index below 1 (layers) or 0 (rows and
+    columns) raises ValueError.
+    """
     cells: dict[int, dict[tuple[int, int], float]] = {}
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
@@ -283,8 +288,15 @@ def read_stack_csv(path: str) -> LayerStack:
         for row in reader:
             if not row:
                 continue
+            if len(row) != 4:
+                raise ValueError(f"stack CSV line {reader.line_num} has {len(row)} fields, expected 4")
             idx, r, c = int(row[0]), int(row[1]), int(row[2])
-            cells.setdefault(idx, {})[(r, c)] = float(row[3])
+            if idx < 1 or r < 0 or c < 0:
+                raise ValueError(f"stack CSV layer {idx} cell ({r}, {c}) has an index out of range")
+            entries = cells.setdefault(idx, {})
+            if (r, c) in entries:
+                raise ValueError(f"stack CSV repeats layer {idx} cell ({r}, {c})")
+            entries[(r, c)] = float(row[3])
     if not cells:
         raise ValueError("stack CSV holds no layers")
     layers = []
@@ -294,8 +306,8 @@ def read_stack_csv(path: str) -> LayerStack:
         entries = cells[idx]
         rows = 1 + max(r for r, _ in entries)
         cols = 1 + max(c for _, c in entries)
-        mat = np.zeros((rows, cols))
-        for (r, c), value in entries.items():
-            mat[r, c] = value
-        layers.append(mat)
+        try:
+            layers.append(np.array([[entries[r, c] for c in range(cols)] for r in range(rows)]))
+        except KeyError as exc:
+            raise ValueError(f"stack CSV is missing layer {idx} cell {exc.args[0]}") from None
     return LayerStack.from_layers(layers)

@@ -40,6 +40,7 @@ __all__ = [
 
 _GRAD_TOL = 1e-8
 _GRADF_FLOOR = 1e-6
+_HESSIAN_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -78,9 +79,8 @@ def hessian_quadratic_form(
 
         form = <grad f(W), M2 M1> + f''(W)[A, A],   A = W2 M1 + M2 W1,
 
-    where f''[A, A] is the coefficient in f(W + A) = f + f'[A] + f''[A, A] + ...
-    Costs that know their curvature exactly (the built-in quadratic, scalar
-    costs) supply it; otherwise a central second difference of f is used.
+    where f''[A, A] is the coefficient in f(W + A) = f + f'[A] + f''[A, A] + ...,
+    which every matrix cost supplies exactly as ``second_directional``.
     """
     _require_two_layers(stack)
     W1, W2 = stack.layers
@@ -93,15 +93,7 @@ def hessian_quadratic_form(
     A = W2 @ M1 + M2 @ W1
     B = M2 @ M1
     first = float(np.sum(cost.gradient(W) * B))
-
-    if hasattr(cost, "second_directional"):
-        second = float(cost.second_directional(W, A))
-    else:
-        eps = 1e-4
-        second = (cost.value(W + eps * A) - 2.0 * cost.value(W) + cost.value(W - eps * A)) / (
-            2.0 * eps * eps
-        )
-    return first + second
+    return first + float(cost.second_directional(W, A))
 
 
 def escape_direction(stack: LayerStack, cost: MatrixCost) -> EscapeDirection:
@@ -118,13 +110,11 @@ def escape_direction(stack: LayerStack, cost: MatrixCost) -> EscapeDirection:
     grad_g = math.sqrt(sum(float(np.sum(g * g)) for g in grads))
     if grad_g >= _GRAD_TOL:
         raise ValueError(f"not a critical point of g: ||grad g|| = {grad_g:.3g}")
-    grad_f = cost.gradient(product(stack))
-    sigma_all = np.linalg.svd(grad_f, compute_uv=False)
-    if sigma_all[0] <= _GRADF_FLOOR:
+    u, s, vt = np.linalg.svd(cost.gradient(product(stack)))
+    sigma = float(s[0])
+    if sigma <= _GRADF_FLOOR:
         raise ValueError("grad f vanishes here; the point is critical for f itself")
 
-    u, s, vt = np.linalg.svd(grad_f)
-    sigma = float(s[0])
     psi = u[:, 0]
     phi = vt[0, :]
 
@@ -165,16 +155,14 @@ def escape_direction(stack: LayerStack, cost: MatrixCost) -> EscapeDirection:
     )
 
 
-def assemble_hessian(stack: LayerStack, cost: MatrixCost, eps: float = 1e-5) -> np.ndarray:
+def assemble_hessian(stack: LayerStack, cost: MatrixCost) -> np.ndarray:
     """Central-difference Hessian of g in stacked (vec W1, vec W2) coordinates.
 
-    Differences the analytic layer gradient, then symmetrizes, so the result
-    is exact to O(eps^2) with no asymmetry residue. eps must lie in
-    [1e-7, 1e-3].
+    Differences the analytic layer gradient with step 1e-5, then
+    symmetrizes, so the result is exact to O(step^2) with no asymmetry
+    residue.
     """
     _require_two_layers(stack)
-    if not 1e-7 <= eps <= 1e-3:
-        raise ValueError(f"eps = {eps} outside the supported range [1e-7, 1e-3]")
     field = flow_field(stack.shape, cost)  # -grad g
     x0 = pack(stack.layers)
     dim = x0.size
@@ -182,8 +170,8 @@ def assemble_hessian(stack: LayerStack, cost: MatrixCost, eps: float = 1e-5) -> 
     H = np.empty((dim, dim))
     for j in range(dim):
         step = np.zeros(dim)
-        step[j] = eps
-        H[:, j] = (field(x0 - step) - field(x0 + step)) / (2.0 * eps)
+        step[j] = _HESSIAN_STEP
+        H[:, j] = (field(x0 - step) - field(x0 + step)) / (2.0 * _HESSIAN_STEP)
     return 0.5 * (H + H.T)
 
 

@@ -49,6 +49,9 @@ __all__ = [
     "dichotomy_experiment",
 ]
 
+# the interval the dichotomy battery scans for gradient dominance
+_SCAN_INTERVAL = (-3.0, 3.0)
+
 
 @dataclass(frozen=True)
 class ScalarPairState:
@@ -207,20 +210,19 @@ def compare_acceleration(
     c_low: float,
     c_high: float,
     cfg: IntegratorConfig,
-    allow_degenerate: bool = False,
 ) -> AccelReport:
     """Race two reduced flows that differ only in imbalance.
 
     Preconditions: c_low < c_high and the start is not already critical
     (f'(z0) != 0). With c_low = 0 and z0 = 0 the low run never moves; that
-    degenerate race is refused unless allow_degenerate is set.
+    degenerate race is refused.
     """
     if not c_high > c_low:
         raise ValueError(f"need c_low < c_high, got {c_low} >= {c_high}")
     if cost.deriv(z0) == 0.0:
         raise ValueError(f"z0 = {z0} is already a critical point of f")
-    if c_low == 0.0 and z0 == 0.0 and not allow_degenerate:
-        raise ValueError("c = 0 from z0 = 0 never moves; pass allow_degenerate to race it anyway")
+    if c_low == 0.0 and z0 == 0.0:
+        raise ValueError("c = 0 from z0 = 0 never moves")
 
     grid = np.linspace(0.0, cfg.t_max, max(2, int(round(cfg.t_max / 0.005)) + 1))
     low = reduced_flow(cost, c_low, z0, cfg, checkpoints=grid)
@@ -280,22 +282,21 @@ def dichotomy_experiment(
     n_generic: int = 20,
     n_anti: int = 5,
     seed: int = 0,
-    scan_interval: tuple[float, float] = (-3.0, 3.0),
 ) -> DichotomyReport:
     """Run the two-fates battery for a gradient-dominated scalar cost.
 
     Generic starts (d > 0) must drive f to its infimum; anti-balanced
     starts (d = 0) must collapse to the origin, where f keeps the value
     f(0). Preconditions checked here: f'(0) != 0, f(0) above the infimum,
-    and the gradient-dominance scan passing on the given interval. Only
+    and the gradient-dominance scan passing on [-3, 3]. Only
     each run's final state is read, so all starts are integrated together
     through one ``integrate_batch`` call.
     """
     runs = _dichotomy_starts(cost, k, n_generic, n_anti, seed)  # raises first when f'(0) = 0
-    report = pdpli_check(cost, scan_interval)
+    report = pdpli_check(cost, _SCAN_INTERVAL)
     if not report.passed:
         raise ValueError(f"cost fails the gradient-dominance scan at w = {report.witness}")
-    fmin = cost.min_value if cost.min_value is not None else _grid_min(cost, scan_interval)
+    fmin = cost.min_value if cost.min_value is not None else _grid_min(cost)
     if not cost.value(0.0) > fmin + 1e-9:
         raise ValueError("f(0) must sit strictly above the infimum for the dichotomy to bite")
 
@@ -360,6 +361,6 @@ def _dichotomy_starts(
     return runs
 
 
-def _grid_min(cost: ScalarCost, interval: tuple[float, float]) -> float:
-    grid = np.linspace(interval[0], interval[1], 2001)
+def _grid_min(cost: ScalarCost) -> float:
+    grid = np.linspace(_SCAN_INTERVAL[0], _SCAN_INTERVAL[1], 2001)
     return min(cost.value(w) for w in grid)

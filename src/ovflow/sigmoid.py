@@ -21,7 +21,7 @@ separatrices are the lines w2 = +- w1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -112,13 +112,9 @@ def _sig_rhs(y: np.ndarray) -> np.ndarray:
     return np.array([dw1, dw2])
 
 
-def sig_integrate(
-    state0: SigState,
-    cfg: IntegratorConfig,
-    checkpoints: Optional[Sequence[float]] = None,
-) -> SigTrajectory:
+def sig_integrate(state0: SigState, cfg: IntegratorConfig) -> SigTrajectory:
     """Integrate the sigmoidal flow from state0."""
-    result = solve_flow(_sig_rhs, np.array([state0.w1, state0.w2]), cfg, checkpoints=checkpoints)
+    result = solve_flow(_sig_rhs, np.array([state0.w1, state0.w2]), cfg)
     samples = tuple(
         SigSample(
             t=float(t),
@@ -132,9 +128,11 @@ def sig_integrate(
     return SigTrajectory(samples=samples, stop_reason=result.stop_reason)
 
 
-def origin_eigenvectors(h: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
-    """(stable, unstable) unit eigenvectors of the numerically linearized
-    field at the origin, oriented into the w1 > 0 half plane."""
+def origin_eigenvectors() -> tuple[np.ndarray, np.ndarray]:
+    """(stable, unstable) unit eigenvectors of the field at the origin,
+    linearized by central differences with step 1e-6 and oriented into the
+    w1 > 0 half plane."""
+    h = 1e-6
     jac = np.empty((2, 2))
     for j in range(2):
         step = np.zeros(2)

@@ -233,6 +233,17 @@ def test_saddle_certify_rejects_a_minimizer(tmp_path):
     assert code == 3
 
 
+def test_saddle_certify_rejects_a_malformed_stack(tmp_path, capsys):
+    stack_path = tmp_path / "bad.csv"
+    stack_path.write_text("layer,row,col,value\n1,0,0,0.5\n1,0,1\n")  # a short row
+    code = main([
+        "saddle-certify", "--config", write_config(tmp_path), "--out", str(tmp_path / "c.csv"),
+        "--stack", str(stack_path),
+    ])
+    assert code == 1
+    assert "cannot load stack" in capsys.readouterr().err
+
+
 # invariant check
 
 
@@ -317,6 +328,11 @@ def test_parse_cost_prints_derivatives(capsys):
 def test_parse_cost_division_note(capsys):
     assert main(["parse-cost", "--expr", "1 / (1 + w^2)"]) == 0
     assert "division" in capsys.readouterr().err
+
+
+def test_parse_cost_unfoldable_constant_power(capsys):
+    assert main(["parse-cost", "--expr", "0^-1 + w", "--at", "1"]) == 0
+    assert "f = inf" in capsys.readouterr().out
 
 
 def test_parse_cost_bad_expression(capsys):

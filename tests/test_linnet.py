@@ -190,6 +190,23 @@ def test_stack_csv_round_trip_is_exact(tmp_path):
         np.testing.assert_array_equal(x, y)  # 17 significant digits round-trip
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (["1,0,0,0.5", "1,0,1"], "line 3 has 3 fields"),
+        (["1,0,0,0.5", "1,0,0,0.7"], r"repeats layer 1 cell \(0, 0\)"),
+        (["1,0,0,0.5", "1,1,1,0.7"], r"missing layer 1 cell \(0, 1\)"),
+        (["1,0,0,0.5", "1,-1,0,0.7"], r"layer 1 cell \(-1, 0\) has an index out of range"),
+    ],
+    ids=["short_row", "repeated_cell", "missing_cell", "negative_index"],
+)
+def test_stack_csv_rejects_malformed_cells(tmp_path, rows, message):
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(["layer,row,col,value", *rows]) + "\n")
+    with pytest.raises(ValueError, match=message):
+        read_stack_csv(str(path))
+
+
 def test_scalar_cost_drives_gradients_too():
     cost = parse_scalar_cost("(1 - w)^2").as_matrix()
     stack = LayerStack.from_layers([np.array([[0.3], [0.4]]), np.array([[0.5, -0.2]])])

@@ -107,14 +107,6 @@ def test_two_layers_required():
         assemble_hessian(deep, cost)
 
 
-def test_assemble_hessian_eps_range():
-    cost = QuadraticMatrixCost(np.eye(2))
-    with pytest.raises(ValueError):
-        assemble_hessian(zero_stack(), cost, eps=1e-8)
-    with pytest.raises(ValueError):
-        assemble_hessian(zero_stack(), cost, eps=1e-2)
-
-
 def test_rank_one_saddle_quartic_coefficient():
     # along gamma = e2 the form is exactly -q^3 + 0.5 q^4, so the window is
     # q_bar = 1 and the curvature stays below -sigma q^3 / 2 inside it
