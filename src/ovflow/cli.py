@@ -313,7 +313,7 @@ def _cmd_simulate(args) -> int:
     config = load_config(args.config)
     stack0 = build_initial_stack(config)
     if args.baseline:
-        traj = integrate_baseline(product(stack0), config.cost, config.integrator)
+        traj = integrate_baseline(product(stack0.layers), config.cost, config.integrator)
     else:
         traj = integrate(stack0, config.cost, config.integrator)
     write_trajectory_csv(traj, config.cost, args.out)
@@ -352,8 +352,8 @@ def _cmd_accelerate(args) -> int:
         cost = parse_scalar_cost(args.expr, min_value=args.min_value)
     except ParseError as exc:
         raise UsageError(f"bad expression: {exc}") from exc
-    cfg = IntegratorConfig(rtol=1e-10, atol=1e-12, t_max=args.t_max, grad_tol=1e-12)
     try:
+        cfg = IntegratorConfig(rtol=1e-10, atol=1e-12, t_max=args.t_max, grad_tol=1e-12)
         report = compare_acceleration(cost, args.z0, args.c_low, args.c_high, cfg)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -382,8 +382,8 @@ def _cmd_dichotomy(args) -> int:
         cost = parse_scalar_cost(args.expr, min_value=args.min_value)
     except ParseError as exc:
         raise UsageError(f"bad expression: {exc}") from exc
-    cfg = IntegratorConfig(rtol=1e-10, atol=1e-12, t_max=args.t_max)
     try:
+        cfg = IntegratorConfig(rtol=1e-10, atol=1e-12, t_max=args.t_max)
         report = dichotomy_experiment(
             cost, args.k, cfg, n_generic=args.runs, n_anti=args.anti, seed=args.seed
         )
@@ -422,6 +422,8 @@ def _cmd_saddle_certify(args) -> int:
             stack = read_stack_csv(args.stack)
         except (OSError, ValueError) as exc:
             raise UsageError(f"cannot load stack {args.stack}: {exc}") from exc
+        if stack.shape != config.net:
+            raise UsageError(f"stack {args.stack} has shape {stack.shape}, but config.net is {config.net}")
     else:
         # the canonical spurious critical point: both layers zero
         stack = LayerStack(config.net, tuple(np.zeros(s) for s in layer_shapes(config.net)))

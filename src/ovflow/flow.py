@@ -8,18 +8,22 @@
 states, ``integrate_baseline`` runs dW/dt = -grad f(W) on the plain matrix
 state (stored as a depth-1 stack so the same reporting works), and
 ``sweep`` classifies the limits of a batch of random initializations.
+
+A recorded run is a ``Trajectory`` of the solver's sample arrays; drift and
+the trajectory CSV work on them stacked over samples.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
 from ovflow.cost import MatrixCost
-from ovflow.invariant import drift_series
+from ovflow.invariant import drift_series, imbalance_series
 from ovflow.linnet import LayerStack, NetShape, flow_field, pack, product, random_init, unpacker
 from ovflow.odeint import IntegratorConfig, solve_flow, solve_flow_batch
 
@@ -47,15 +51,36 @@ class FlowSample:
     grad_norm: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    samples: tuple[FlowSample, ...]
+    """A recorded flow as read-only arrays, one row per sample: t (S,), flat
+    states y (S, d), cost (S,) and ||grad g||_F (S,). ``samples`` and
+    ``final`` present those rows as FlowSamples, built when first read."""
+
+    t: np.ndarray
+    y: np.ndarray
+    cost: np.ndarray
+    grad_norm: np.ndarray
+    shape: NetShape
     stop_reason: str
     config: IntegratorConfig
 
+    def layers(self) -> list[np.ndarray]:
+        """W_1, ..., W_N at every sample, as (S, rows, cols) views of y."""
+        return unpacker(self.shape)(self.y)
+
+    @cached_property
+    def samples(self) -> tuple[FlowSample, ...]:
+        layers = self.layers()
+        return tuple(self._sample(layers, i) for i in range(len(self.t)))
+
     @property
     def final(self) -> FlowSample:
-        return self.samples[-1]
+        return self._sample(self.layers(), -1)
+
+    def _sample(self, layers: list[np.ndarray], i: int) -> FlowSample:
+        stack = LayerStack(self.shape, tuple(layer[i] for layer in layers))
+        return FlowSample(float(self.t[i]), stack, float(self.cost[i]), float(self.grad_norm[i]))
 
 
 @dataclass(frozen=True)
@@ -72,16 +97,12 @@ class LimitClass:
 
 
 def _as_trajectory(result, shape: NetShape, cost: MatrixCost, cfg: IntegratorConfig) -> Trajectory:
-    unpack = unpacker(shape)
-    samples = []
     # near-overflow tails of diverging runs evaluate to inf, not a warning storm
     with np.errstate(over="ignore", invalid="ignore"):
-        for t, y, fnorm in zip(result.t, result.y, result.field_norm):
-            stack = LayerStack(shape, tuple(unpack(y)))
-            samples.append(
-                FlowSample(t=float(t), stack=stack, cost=cost.value(product(stack)), grad_norm=float(fnorm))
-            )
-    return Trajectory(samples=tuple(samples), stop_reason=result.stop_reason, config=cfg)
+        values = np.array([cost.value(w) for w in product(unpacker(shape)(result.y))])
+    for arr in (result.t, result.y, values, result.field_norm):
+        arr.flags.writeable = False
+    return Trajectory(result.t, result.y, values, result.field_norm, shape, result.stop_reason, cfg)
 
 
 def integrate(
@@ -144,11 +165,10 @@ def detect_convergence(traj: Trajectory, cost: MatrixCost) -> LimitClass:
     undecided: the run stopped before either test resolves (time or step
     budget, or a non-finite abort).
     """
-    final = traj.final
     # a run that stopped on non_finite may end too large to square
     with np.errstate(over="ignore", invalid="ignore"):
-        grad_f_norm = float(np.linalg.norm(cost.gradient(product(final.stack))))
-    grad_g_norm = final.grad_norm
+        grad_f_norm = float(np.linalg.norm(cost.gradient(product([layer[-1] for layer in traj.layers()]))))
+    grad_g_norm = float(traj.grad_norm[-1])
     if grad_f_norm < 1e-6:
         return LimitClass("critical_of_f", grad_f_norm, grad_g_norm)
     if grad_g_norm < traj.config.grad_tol:
@@ -177,36 +197,29 @@ def sweep(
 
 def write_trajectory_csv(traj: Trajectory, cost: MatrixCost, path: str) -> None:
     """One row per sample: t, cost, gradient norms, invariant drift, scalar
-    imbalance (blank when undefined), then the product entries row-major.
+    imbalance (blank unless the stack is two-layer with n = 1), then the
+    product entries row-major.
 
     Values are written with 17 significant digits so parsing them back
     reproduces the doubles exactly.
     """
-    n = traj.samples[0].stack.shape.n
-    depth = traj.samples[0].stack.shape.depth
-    series = drift_series(traj.samples) if depth >= 2 else [(0.0, None)] * len(traj.samples)
+    n, depth, count = traj.shape.n, traj.shape.depth, len(traj.t)
+    layers = traj.layers()
+    # the tail of a diverging run overflows to inf in the norms, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = product(layers)
+        grad_f_norm = [float(np.linalg.norm(g)) for g in cost.gradient(w)]
+    drift = drift_series(layers) if depth >= 2 else np.zeros(count)
+    imbalance = [f"{c:.17g}" for c in imbalance_series(layers).tolist()] if depth == 2 and n == 1 else [""] * count
+    leading = np.column_stack([traj.t, traj.cost, traj.grad_norm, grad_f_norm, drift])
 
     header = ["t", "cost", "grad_g_norm", "grad_f_norm", "drift", "imbalance_c"]
     header += [f"w_{r}_{c}" for r in range(n) for c in range(n)]
-
-    # the tail of a diverging run overflows to inf in the norms, not a warning
-    with open(path, "w", newline="") as handle, np.errstate(over="ignore", invalid="ignore"):
+    with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        for sample, (d, inv) in zip(traj.samples, series):
-            w = product(sample.stack)
-            grad_f_norm = float(np.linalg.norm(cost.gradient(w)))
-            imb = "" if inv is None or inv.imbalance_c is None else f"{inv.imbalance_c:.17g}"
-            row = [
-                f"{sample.t:.17g}",
-                f"{sample.cost:.17g}",
-                f"{sample.grad_norm:.17g}",
-                f"{grad_f_norm:.17g}",
-                f"{d:.17g}",
-                imb,
-            ]
-            row += [f"{value:.17g}" for value in w.ravel()]
-            writer.writerow(row)
+        for head, imb, entries in zip(leading, imbalance, w.reshape(count, -1)):
+            writer.writerow([f"{v:.17g}" for v in head.tolist()] + [imb] + [f"{v:.17g}" for v in entries.tolist()])
 
 
 def read_trajectory_csv(path: str) -> dict[str, np.ndarray]:

@@ -8,42 +8,46 @@ so these act as a fingerprint of the initial condition. ``drift`` measures
 how far a numerical trajectory lets that fingerprint move; the scalar
 imbalance c = 2 tr(C^2) - (tr C)^2 is the single number that controls the
 two-layer scalar-output case.
+
+``invariants`` and ``norm_chain_residual`` take one ``LayerStack``; the
+``*_series`` functions take a recording's (S, rows, cols) layer stacks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Sequence
 
 import numpy as np
 
 from ovflow.linnet import LayerStack
 
-__all__ = ["InvariantSet", "invariants", "imbalance_scalar", "norm_chain_residual", "drift_series", "drift"]
+__all__ = [
+    "InvariantSet", "invariants", "imbalance_scalar", "imbalance_series", "norm_chain_residual", "drift_series", "drift",
+]
 
 
 @dataclass(frozen=True)
 class InvariantSet:
-    """The N-1 balance matrices of a stack, their traces, and, for the
-    two-layer scalar-output case, the scalar imbalance c."""
+    """The N-1 balance matrices of a stack and their traces."""
 
     matrices: tuple[np.ndarray, ...]
     traces: tuple[float, ...]
-    imbalance_c: Optional[float]
+
+
+def _balance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # one pair's C = a a^T - b^T b; a and b may be (S, rows, cols) stacks
+    return a @ a.swapaxes(-1, -2) - b.swapaxes(-1, -2) @ b
 
 
 def invariants(stack: LayerStack) -> InvariantSet:
     """Balance matrices C_i = W_i W_i^T - W_{i+1}^T W_{i+1} for i = 1..N-1."""
     if stack.shape.depth < 2:
         raise ValueError("invariants need at least two layers")
-    mats = []
-    for a, b in zip(stack.layers[:-1], stack.layers[1:]):
-        c = a @ a.T - b.T @ b
+    mats = tuple(_balance(a, b) for a, b in zip(stack.layers[:-1], stack.layers[1:]))
+    for c in mats:
         c.flags.writeable = False
-        mats.append(c)
-    traces = tuple(float(np.trace(c)) for c in mats)
-    imbalance = _imbalance(mats[0]) if stack.shape.depth == 2 and stack.shape.n == 1 else None
-    return InvariantSet(matrices=tuple(mats), traces=traces, imbalance_c=imbalance)
+    return InvariantSet(matrices=mats, traces=tuple(float(np.trace(c)) for c in mats))
 
 
 def imbalance_scalar(inv: InvariantSet) -> float:
@@ -58,6 +62,16 @@ def _imbalance(c: np.ndarray) -> float:
     # non_finite) must give inf here, not raise
     with np.errstate(over="ignore", invalid="ignore"):
         return float(2.0 * np.trace(c @ c) - np.trace(c) ** 2)
+
+
+def imbalance_series(layers: Sequence[np.ndarray]) -> np.ndarray:
+    """The scalar imbalance c of a two-layer recording, one value per sample;
+    layers are the (S, rows, cols) stacks of W_1 and W_2."""
+    if len(layers) != 2:
+        raise ValueError("scalar imbalance is defined for two-layer stacks only")
+    with np.errstate(over="ignore", invalid="ignore"):
+        # per sample, as imbalance_scalar: a scalar's ** 2 is pow(), which may differ from x * x in the last bit
+        return np.array([_imbalance(c) for c in _balance(*layers)])
 
 
 def norm_chain_residual(stack: LayerStack, inv0: InvariantSet) -> list[float]:
@@ -75,25 +89,22 @@ def norm_chain_residual(stack: LayerStack, inv0: InvariantSet) -> list[float]:
     ]
 
 
-def drift_series(samples) -> list[tuple[float, InvariantSet]]:
-    """Each sample's normalized invariant drift, with its invariant set.
+def drift_series(layers: Sequence[np.ndarray]) -> np.ndarray:
+    """Normalized invariant drift at every sample of a recording.
 
-    The drift at sample t is the max over pairs i of
-    ||C_i(t) - C_i(0)||_F / (1 + ||C_i(0)||_F), where sample 0 gives C_i(0);
-    a pair whose drift is not a number is skipped.
+    layers are the (S, rows, cols) stacks of W_1, ..., W_N. The drift at
+    sample t is the max over pairs i of ||C_i(t) - C_i(0)||_F / (1 + ||C_i(0)||_F),
+    where sample 0 gives C_i(0); a pair whose drift is not a number is skipped.
     """
-    series = []
+    if len(layers) < 2:
+        raise ValueError("invariants need at least two layers")
+    series = np.zeros(len(layers[0]))
     with np.errstate(over="ignore", invalid="ignore"):
-        sets = [invariants(sample.stack) for sample in samples]
-        base = sets[0].matrices
-        scales = [1.0 + float(np.linalg.norm(c)) for c in base]
-        for now in sets:
-            worst = 0.0
-            for c0, c1, scale in zip(base, now.matrices, scales):
-                err = float(np.linalg.norm(c1 - c0)) / scale
-                if err > worst:
-                    worst = err
-            series.append((worst, now))
+        for a, b in zip(layers[:-1], layers[1:]):
+            c = _balance(a, b)
+            scale = 1.0 + float(np.linalg.norm(c[0]))
+            err = np.array([float(np.linalg.norm(d)) for d in c - c[0]]) / scale
+            series = np.fmax(series, err)
     return series
 
 
@@ -103,6 +114,6 @@ def drift(traj) -> float:
     The max of ``drift_series`` over the samples. Zero for an exact flow;
     for a numerical one this is the conservation error of the integrator.
     """
-    if len(traj.samples) == 0:
+    if len(traj.t) == 0:
         raise ValueError("empty trajectory")
-    return max(d for d, _ in drift_series(traj.samples))
+    return float(np.max(drift_series(traj.layers())))

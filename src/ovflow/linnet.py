@@ -87,8 +87,8 @@ def layer_shapes(shape: NetShape) -> list[tuple[int, int]]:
 class LayerStack:
     """An immutable tuple of layer matrices with a validated shape.
 
-    Layers are defensively copied and marked read-only at construction, so a
-    stack can be shared across threads without locking.
+    Layers are copied and marked read-only at construction, so no later
+    write to the arrays a stack was built from can change it.
     """
 
     shape: NetShape
@@ -125,10 +125,11 @@ class LayerStack:
         return cls(NetShape(n=n, k=k, depth=depth), tuple(mats))
 
 
-def product(stack: LayerStack) -> np.ndarray:
-    """End-to-end map W_N ... W_2 W_1 (an n x n matrix)."""
-    out = stack.layers[-1]
-    for layer in stack.layers[-2::-1]:
+def product(layers: Sequence[np.ndarray]) -> np.ndarray:
+    """End-to-end map W_N ... W_2 W_1 of the layers W_1, ..., W_N (an n x n
+    matrix); stacked (S, rows, cols) layers give one map per sample."""
+    out = layers[-1]
+    for layer in layers[-2::-1]:
         out = out @ layer
     return np.array(out)
 

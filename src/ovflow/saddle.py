@@ -110,7 +110,7 @@ def escape_direction(stack: LayerStack, cost: MatrixCost) -> EscapeDirection:
     grad_g = math.sqrt(sum(float(np.sum(g * g)) for g in grads))
     if grad_g >= _GRAD_TOL:
         raise ValueError(f"not a critical point of g: ||grad g|| = {grad_g:.3g}")
-    u, s, vt = np.linalg.svd(cost.gradient(product(stack)))
+    u, s, vt = np.linalg.svd(cost.gradient(product(stack.layers)))
     sigma = float(s[0])
     if sigma <= _GRADF_FLOOR:
         raise ValueError("grad f vanishes here; the point is critical for f itself")

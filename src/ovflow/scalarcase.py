@@ -27,7 +27,7 @@ import numpy as np
 
 from ovflow.cost import PdpliReport, ScalarCost, pdpli_check
 from ovflow.flow import Trajectory, detect_convergence, integrate, integrate_batch
-from ovflow.linnet import LayerStack, NetShape
+from ovflow.linnet import LayerStack, NetShape, product
 from ovflow.odeint import IntegratorConfig, solve_flow
 
 __all__ = [
@@ -165,7 +165,7 @@ def match_reduction(cost: ScalarCost, state0: ScalarPairState, cfg: IntegratorCo
     full = full_flow(state0, cost, cfg, checkpoints=grid)
     reduced = reduced_flow(cost, conserved_D(state0), state0.z, cfg, checkpoints=grid)
 
-    z_full = {s.t: float(np.asarray(s.stack.layers[1] @ s.stack.layers[0])[0, 0]) for s in full.samples}
+    z_full = dict(zip(full.t.tolist(), product(full.layers())[:, 0, 0].tolist()))
     z_red = dict(zip(reduced.t, reduced.z))
     shared = sorted(set(z_full) & set(z_red))
     if not shared:
@@ -304,17 +304,13 @@ def dichotomy_experiment(
     trajs = integrate_batch([to_stack(state0) for _, state0 in runs], matrix_cost, cfg)
     results = []
     for (kind, state0), traj in zip(runs, trajs):
-        final = traj.final
-        final_state = state_from_stack(final.stack)
         results.append(
             DichotomyRun(
                 kind=kind,
                 d0=d_metric(state0, cost),
                 D0=conserved_D(state0),
-                final_cost=final.cost,
-                final_state_norm=float(
-                    np.linalg.norm(np.concatenate([final_state.w1, final_state.w2]))
-                ),
+                final_cost=float(traj.cost[-1]),
+                final_state_norm=float(np.linalg.norm(traj.y[-1])),  # the flat state is w1 then w2
                 label=detect_convergence(traj, matrix_cost).label,
             )
         )

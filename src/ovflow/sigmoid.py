@@ -16,6 +16,9 @@ so tracing the separatrix numerically and comparing against that formula
 is a closed-form test of the whole pipeline. A linear comparison model
 (train y = w2 * w1 toward 1) is included for side-by-side portraits; its
 separatrices are the lines w2 = +- w1.
+
+The field, the conserved level and the cost take w1 and w2 as floats or as
+arrays, so a recorded run or a portrait grid is one call.
 """
 
 from __future__ import annotations
@@ -28,13 +31,11 @@ import numpy as np
 from ovflow.odeint import IntegratorConfig, solve_flow
 
 __all__ = [
-    "SigState",
     "sigma",
     "sig_flow_field",
     "sig_invariant",
     "sig_cost",
     "manifold_curve",
-    "SigSample",
     "SigTrajectory",
     "sig_integrate",
     "origin_eigenvectors",
@@ -47,18 +48,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SigState:
-    w1: float
-    w2: float
-
-
 def sigma(z: Union[float, np.ndarray]):
     """The bounded nonlinearity z / sqrt(1 + z^2)."""
     return z / np.sqrt(1.0 + np.square(z))
 
 
-def _field_arrays(w1, w2):
+def sig_flow_field(w1, w2):
+    """Right-hand side (dw1/dt, dw2/dt) of the sigmoidal flow."""
     one = 1.0 + np.square(w1)
     root = np.sqrt(one)
     dw1 = (w2 * root - np.square(w2) * w1) / np.square(one)
@@ -66,19 +62,13 @@ def _field_arrays(w1, w2):
     return dw1, dw2
 
 
-def sig_flow_field(state: SigState) -> tuple[float, float]:
-    """Right-hand side of the sigmoidal flow at a state."""
-    dw1, dw2 = _field_arrays(state.w1, state.w2)
-    return float(dw1), float(dw2)
-
-
-def sig_invariant(state: SigState) -> float:
+def sig_invariant(w1, w2):
     """C = w2^2 - (1 + w1^2)^2 / 2; constant along the flow."""
-    return state.w2**2 - 0.5 * (1.0 + state.w1**2) ** 2
+    return w2**2 - 0.5 * (1.0 + w1**2) ** 2
 
 
-def sig_cost(state: SigState) -> float:
-    return (1.0 - state.w2 * float(sigma(state.w1))) ** 2
+def sig_cost(w1, w2):
+    return (1.0 - w2 * sigma(w1)) ** 2
 
 
 def manifold_curve(w1: Union[float, np.ndarray]):
@@ -88,44 +78,28 @@ def manifold_curve(w1: Union[float, np.ndarray]):
     return branch, -branch
 
 
-@dataclass(frozen=True)
-class SigSample:
-    t: float
-    w1: float
-    w2: float
-    invariant: float
-    cost: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SigTrajectory:
-    samples: tuple[SigSample, ...]
-    stop_reason: str
+    """A sigmoidal run as the solver's columns, one entry per recorded
+    sample: times, both weights, the conserved level and the cost."""
 
-    @property
-    def final(self) -> SigSample:
-        return self.samples[-1]
+    t: np.ndarray
+    w1: np.ndarray
+    w2: np.ndarray
+    invariant: np.ndarray
+    cost: np.ndarray
+    stop_reason: str
 
 
 def _sig_rhs(y: np.ndarray) -> np.ndarray:
-    dw1, dw2 = _field_arrays(y[0], y[1])
-    return np.array([dw1, dw2])
+    return np.array(sig_flow_field(y[0], y[1]))
 
 
-def sig_integrate(state0: SigState, cfg: IntegratorConfig) -> SigTrajectory:
-    """Integrate the sigmoidal flow from state0."""
-    result = solve_flow(_sig_rhs, np.array([state0.w1, state0.w2]), cfg)
-    samples = tuple(
-        SigSample(
-            t=float(t),
-            w1=float(y[0]),
-            w2=float(y[1]),
-            invariant=sig_invariant(SigState(float(y[0]), float(y[1]))),
-            cost=sig_cost(SigState(float(y[0]), float(y[1]))),
-        )
-        for t, y in zip(result.t, result.y)
-    )
-    return SigTrajectory(samples=samples, stop_reason=result.stop_reason)
+def sig_integrate(w1: float, w2: float, cfg: IntegratorConfig) -> SigTrajectory:
+    """Integrate the sigmoidal flow from (w1, w2)."""
+    result = solve_flow(_sig_rhs, np.array([w1, w2]), cfg)
+    w1s, w2s = result.y[:, 0], result.y[:, 1]
+    return SigTrajectory(result.t, w1s, w2s, sig_invariant(w1s, w2s), sig_cost(w1s, w2s), result.stop_reason)
 
 
 def origin_eigenvectors() -> tuple[np.ndarray, np.ndarray]:
@@ -248,7 +222,7 @@ def phase_portrait(
     ys = np.linspace(lo2, hi2, grid)
     g1, g2 = np.meshgrid(xs, ys, indexing="ij")
     if kind == "sigmoid":
-        d1, d2 = _field_arrays(g1, g2)
+        d1, d2 = sig_flow_field(g1, g2)
     else:
         d1, d2 = linear_field(g1, g2)
 

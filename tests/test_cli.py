@@ -184,6 +184,16 @@ def test_accelerate_rejects_critical_start(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("t_max", ["0", "-1"])
+def test_accelerate_bad_t_max_is_a_usage_error(tmp_path, capsys, t_max):
+    code = main([
+        "accelerate", "--expr", "(1 - w)^2", "--z0", "0.5", "--c-low", "0", "--c-high", "9",
+        "--t-max", t_max, "--out", str(tmp_path / "r.csv"),
+    ])
+    assert code == 1
+    assert "error: t_max must be a positive finite number" in capsys.readouterr().err
+
+
 def test_dichotomy_battery(tmp_path):
     out = tmp_path / "runs.csv"
     code = main([
@@ -203,6 +213,13 @@ def test_dichotomy_rejects_nondominated_cost(tmp_path):
         "--out", str(tmp_path / "x.csv"),
     ])
     assert code == 1
+
+
+@pytest.mark.parametrize("t_max", ["0", "-1"])
+def test_dichotomy_bad_t_max_is_a_usage_error(tmp_path, capsys, t_max):
+    code = main(["dichotomy", "--expr", "(1 - w)^2", "--t-max", t_max, "--out", str(tmp_path / "f.csv")])
+    assert code == 1
+    assert "error: t_max must be a positive finite number" in capsys.readouterr().err
 
 
 # saddle certification
@@ -242,6 +259,21 @@ def test_saddle_certify_rejects_a_malformed_stack(tmp_path, capsys):
     ])
     assert code == 1
     assert "cannot load stack" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("shape", [(1, 2, 2), (2, 3, 3)], ids=["two_layer_n1", "depth3"])
+def test_saddle_certify_rejects_a_stack_of_another_shape(tmp_path, capsys, shape):
+    from ovflow.linnet import NetShape, random_init, write_stack_csv
+
+    stack_path = tmp_path / "other.csv"
+    write_stack_csv(random_init(NetShape(*shape), seed=0, scale=0.5), str(stack_path))
+    code = main([
+        "saddle-certify", "--config", write_config(tmp_path), "--out", str(tmp_path / "c.csv"),
+        "--stack", str(stack_path),
+    ])
+    assert code == 1
+    assert "but config.net is" in capsys.readouterr().err
+    assert not (tmp_path / "c.csv").exists()
 
 
 # invariant check

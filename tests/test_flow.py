@@ -13,8 +13,8 @@ from ovflow.flow import (
     sweep,
     write_trajectory_csv,
 )
-from ovflow.invariant import drift
-from ovflow.linnet import NetShape, balanced_init, flow_field, pack, random_init
+from ovflow.invariant import drift, imbalance_scalar, invariants
+from ovflow.linnet import NetShape, balanced_init, flow_field, layer_shapes, pack, random_init
 from ovflow.odeint import IntegratorConfig, solve_flow, solve_flow_batch
 from ovflow.scalarcase import anti_balanced, to_stack
 
@@ -233,6 +233,58 @@ def test_trajectory_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(data["t"], [s.t for s in traj.samples])
     np.testing.assert_array_equal(data["cost"], [s.cost for s in traj.samples])
     assert np.all(np.isfinite(data["imbalance_c"]))  # defined for two scalar layers
+
+
+def _per_sample_drift_and_imbalance(traj):
+    """The drift and imbalance series rebuilt one sample at a time from
+    ``invariants(s.stack)``: the reference the array route must match."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sets = [invariants(s.stack) for s in traj.samples]
+        scales = [1.0 + float(np.linalg.norm(c)) for c in sets[0].matrices]
+        series = []
+        for now in sets:
+            worst = 0.0
+            for c0, c1, scale in zip(sets[0].matrices, now.matrices, scales):
+                err = float(np.linalg.norm(c1 - c0)) / scale
+                if err > worst:
+                    worst = err
+            series.append(worst)
+    scalar = traj.shape.depth == 2 and traj.shape.n == 1
+    imbalance = [imbalance_scalar(inv) if scalar else np.nan for inv in sets]
+    return series, imbalance
+
+
+ARRAY_ROUTE_FLOWS = {
+    "depth2_n1": (NetShape(1, 2, 2), parse_scalar_cost("w^4 - 3 * w^2 + w").as_matrix(), 0.7, "converged"),
+    "depth3": (NetShape(2, 3, 3), COST, 0.5, "converged"),
+    "depth4": (NetShape(2, 4, 4), COST, 0.5, "converged"),
+    "non_finite": (NetShape(1, 2, 2), parse_scalar_cost("-(w^2)").as_matrix(), 1.5, "non_finite"),
+}
+
+
+@pytest.mark.parametrize("case", ARRAY_ROUTE_FLOWS)
+def test_array_route_matches_the_per_sample_route(tmp_path, case):
+    shape, cost, scale, stop = ARRAY_ROUTE_FLOWS[case]
+    cfg = IntegratorConfig(rtol=1e-8, atol=1e-10, t_max=50.0)
+    traj = integrate(random_init(shape, seed=2, scale=scale), cost, cfg)
+    assert traj.stop_reason == stop
+
+    layers = traj.layers()
+    assert [layer.shape for layer in layers] == [(len(traj.t),) + dims for dims in layer_shapes(shape)]
+    for i, sample in enumerate(traj.samples):
+        assert (sample.t, sample.cost, sample.grad_norm) == (traj.t[i], traj.cost[i], traj.grad_norm[i])
+        for got, want in zip(sample.stack.layers, layers):
+            np.testing.assert_array_equal(got, want[i])
+    assert traj.final.t == traj.samples[-1].t
+    np.testing.assert_array_equal(traj.final.stack.layers[-1], traj.samples[-1].stack.layers[-1])
+
+    series, imbalance = _per_sample_drift_and_imbalance(traj)
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(traj, cost, str(path))
+    data = read_trajectory_csv(str(path))
+    np.testing.assert_array_equal(data["drift"], series)
+    np.testing.assert_array_equal(data["imbalance_c"], imbalance)
+    assert drift(traj) == max(series)
 
 
 def test_trajectory_csv_blank_imbalance_for_matrix_case(tmp_path):

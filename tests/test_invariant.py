@@ -54,8 +54,7 @@ def test_imbalance_matches_scalar_case_quantity():
     w2 = np.array([1.0, 0.0])
     state = ScalarPairState(w1, w2)
     inv = invariants(to_stack(state))
-    assert inv.imbalance_c is not None
-    assert inv.imbalance_c == pytest.approx(conserved_D(state))
+    assert imbalance_scalar(inv) == pytest.approx(conserved_D(state))
     assert imbalance_scalar(inv) == pytest.approx(64.0)  # (9+1)^2 - 4*9
 
 
@@ -86,7 +85,7 @@ def test_drift_stays_small_along_a_flow():
 
 def test_drift_rejects_empty_trajectory():
     class Fake:
-        samples = ()
+        t = ()
 
     with pytest.raises(ValueError):
         drift(Fake())

@@ -69,12 +69,12 @@ def test_product_folds_right_to_left():
     w1 = np.array([[1.0], [2.0]])
     w2 = np.array([[3.0, 4.0]])
     stack = LayerStack.from_layers([w1, w2])
-    np.testing.assert_allclose(product(stack), [[11.0]])  # 3*1 + 4*2
+    np.testing.assert_allclose(product(stack.layers), [[11.0]])  # 3*1 + 4*2
 
 
 def test_depth_one_product_is_the_layer():
     stack = LayerStack(NetShape(1, 1, 1), (np.array([[7.0]]),))
-    np.testing.assert_allclose(product(stack), [[7.0]])
+    np.testing.assert_allclose(product(stack.layers), [[7.0]])
 
 
 def test_layer_gradients_match_fd_fixed_cases():
@@ -112,7 +112,7 @@ def test_balanced_init_hits_target_with_zero_invariants():
     target = np.array([[2.0, 1.0], [0.0, 1.0]])
     for depth in (2, 3, 4):
         stack = balanced_init(target, NetShape(n=2, k=5, depth=depth), seed=3)
-        np.testing.assert_allclose(product(stack), target, atol=1e-12)
+        np.testing.assert_allclose(product(stack.layers), target, atol=1e-12)
         for lower, upper in zip(stack.layers, stack.layers[1:]):
             C = lower @ lower.T - upper.T @ upper
             assert np.abs(C).max() < 1e-12
@@ -121,7 +121,7 @@ def test_balanced_init_hits_target_with_zero_invariants():
 def test_balanced_init_depth_one_returns_target():
     target = np.array([[3.0]])
     stack = balanced_init(target, NetShape(n=1, k=1, depth=1))
-    np.testing.assert_allclose(product(stack), target)
+    np.testing.assert_allclose(product(stack.layers), target)
 
 
 def test_balanced_init_rejects_rank_deficient_target():
@@ -159,7 +159,7 @@ def test_rescale_pair_preserves_product(eta, seed):
     stack = balanced_init(target, NetShape(n=2, k=4, depth=3), seed=seed)
     for i in (1, 2):
         scaled = rescale_pair(stack, i, eta)
-        np.testing.assert_allclose(product(scaled), product(stack), atol=1e-10)
+        np.testing.assert_allclose(product(scaled.layers), product(stack.layers), atol=1e-10)
 
 
 def test_rescale_pair_changes_one_invariant():

@@ -7,7 +7,6 @@ import pytest
 
 from ovflow.odeint import IntegratorConfig
 from ovflow.sigmoid import (
-    SigState,
     linear_field,
     manifold_curve,
     origin_eigenvectors,
@@ -33,24 +32,24 @@ def test_sigma_values():
 
 def test_field_frozen_values():
     # at (1, 1): dw1 = (sqrt(2) - 1) / 4, dw2 = (sqrt(2) - 1) / 2
-    dw1, dw2 = sig_flow_field(SigState(1.0, 1.0))
+    dw1, dw2 = sig_flow_field(1.0, 1.0)
     root2 = math.sqrt(2.0)
     assert dw1 == pytest.approx((root2 - 1.0) / 4.0, abs=1e-15)
     assert dw2 == pytest.approx((root2 - 1.0) / 2.0, abs=1e-15)
     # the origin is an equilibrium
-    assert sig_flow_field(SigState(0.0, 0.0)) == (0.0, 0.0)
+    assert sig_flow_field(0.0, 0.0) == (0.0, 0.0)
 
 
 def test_invariant_frozen_values():
-    assert sig_invariant(SigState(0.0, 0.0)) == pytest.approx(-0.5)
-    assert sig_invariant(SigState(1.0, 2.0)) == pytest.approx(2.0)  # 4 - 0.5 * 4
+    assert sig_invariant(0.0, 0.0) == pytest.approx(-0.5)
+    assert sig_invariant(1.0, 2.0) == pytest.approx(2.0)  # 4 - 0.5 * 4
 
 
 def test_cost_zero_on_the_target_curve():
     for w1 in (0.3, 1.0, 2.5):
         w2 = 1.0 / sigma(w1)
-        assert sig_cost(SigState(w1, w2)) == pytest.approx(0.0, abs=1e-15)
-    assert sig_cost(SigState(0.0, 0.0)) == pytest.approx(1.0)
+        assert sig_cost(w1, w2) == pytest.approx(0.0, abs=1e-15)
+    assert sig_cost(0.0, 0.0) == pytest.approx(1.0)
 
 
 def test_manifold_curve_frozen_points_and_invariant():
@@ -64,19 +63,19 @@ def test_manifold_curve_frozen_points_and_invariant():
     span = np.linspace(-2.0, 2.0, 41)
     plus_arr, minus_arr = manifold_curve(span)
     for w1, w2 in zip(span, plus_arr):
-        assert sig_invariant(SigState(w1, w2)) == pytest.approx(-0.5, abs=1e-12)
+        assert sig_invariant(w1, w2) == pytest.approx(-0.5, abs=1e-12)
     for w1, w2 in zip(span, minus_arr):
-        assert sig_invariant(SigState(w1, w2)) == pytest.approx(-0.5, abs=1e-12)
+        assert sig_invariant(w1, w2) == pytest.approx(-0.5, abs=1e-12)
 
 
 def test_flow_conserves_the_invariant():
     cfg = IntegratorConfig(rtol=1e-10, atol=1e-12, t_max=30.0, grad_tol=1e-10)
-    traj = sig_integrate(SigState(0.5, 0.6), cfg)
-    C0 = sig_invariant(SigState(0.5, 0.6))
-    worst = max(abs(s.invariant - C0) for s in traj.samples)
+    traj = sig_integrate(0.5, 0.6, cfg)
+    C0 = sig_invariant(0.5, 0.6)
+    worst = np.max(np.abs(traj.invariant - C0))
     assert worst < 1e-10
     # a generic start lands on the zero-cost curve
-    assert traj.samples[-1].cost < 1e-8
+    assert traj.cost[-1] < 1e-8
 
 
 def test_stable_branch_flows_to_the_origin():
@@ -86,10 +85,10 @@ def test_stable_branch_flows_to_the_origin():
     w1 = 0.5
     _, minus = manifold_curve(w1)
     cfg = IntegratorConfig(rtol=1e-10, atol=1e-12, t_max=40.0, grad_tol=1e-12)
-    traj = sig_integrate(SigState(w1, float(minus)), cfg)
-    closest = min(math.hypot(s.w1, s.w2) for s in traj.samples)
+    traj = sig_integrate(w1, float(minus), cfg)
+    closest = np.min(np.hypot(traj.w1, traj.w2))
     assert closest < 1e-5
-    assert all(abs(s.invariant + 0.5) < 1e-9 for s in traj.samples)
+    assert np.all(np.abs(traj.invariant + 0.5) < 1e-9)
 
 
 def test_origin_eigenvectors():
