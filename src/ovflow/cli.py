@@ -11,7 +11,6 @@ or I/O failure, 3 an experiment ran but failed its own assertion.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -22,6 +21,7 @@ from typing import Optional
 import numpy as np
 
 from ovflow.cost import ParseError, QuadraticMatrixCost, ScalarCost, parse_scalar_cost, to_string
+from ovflow.csvio import write_csv
 from ovflow.flow import integrate, integrate_baseline, sweep, write_trajectory_csv
 from ovflow.invariant import drift, invariants, norm_chain_residual
 from ovflow.linnet import LayerStack, NetShape, balanced_init, layer_shapes, product, random_init, read_stack_csv, rescale_pair
@@ -285,20 +285,17 @@ def write_portrait_svg(portrait: PortraitData, path: str) -> None:
         )
     parts.append("</g>")
 
-    targets = [ov for ov in portrait.overlays if ov[0].startswith("target")]
-    manifolds = [ov for ov in portrait.overlays if ov[0].startswith("manifold")]
-    if targets:
-        parts.append('<g stroke="#1f6f43" stroke-width="2" fill="none">')
-        for curve_id, line in targets:
-            pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in (px(a, b) for a, b in line))
-            parts.append(f'<polyline class="target-curve" id="{curve_id}" points="{pts}"/>')
-        parts.append("</g>")
-    if manifolds:
-        parts.append('<g stroke="#b03a3a" stroke-width="2" fill="none" stroke-dasharray="7 5">')
-        for curve_id, line in manifolds:
-            pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in (px(a, b) for a, b in line))
-            parts.append(f'<polyline class="manifold-curve" id="{curve_id}" points="{pts}"/>')
-        parts.append("</g>")
+    for prefix, style in (
+        ("target", 'stroke="#1f6f43" stroke-width="2" fill="none"'),
+        ("manifold", 'stroke="#b03a3a" stroke-width="2" fill="none" stroke-dasharray="7 5"'),
+    ):
+        curves = [ov for ov in portrait.overlays if ov[0].startswith(prefix)]
+        if curves:
+            parts.append(f"<g {style}>")
+            for curve_id, line in curves:
+                pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in (px(a, b) for a, b in line))
+                parts.append(f'<polyline class="{prefix}-curve" id="{curve_id}" points="{pts}"/>')
+            parts.append("</g>")
     parts.append("</svg>")
 
     with open(path, "w") as handle:
@@ -319,7 +316,7 @@ def _cmd_simulate(args) -> int:
     write_trajectory_csv(traj, config.cost, args.out)
     final = traj.final
     print(
-        f"{len(traj.samples)} samples to {args.out}; stop={traj.stop_reason} "
+        f"{len(traj.t)} samples to {args.out}; stop={traj.stop_reason} "
         f"t={final.t:.6g} cost={final.cost:.6g} grad_g={final.grad_norm:.3g}"
     )
     if traj.stop_reason == "non_finite":
@@ -333,13 +330,8 @@ def _cmd_sweep(args) -> int:
         raise UsageError("sweep draws random initializations; set init mode 'random'")
     seeds = list(range(config.seed, config.seed + args.runs))
     results = sweep(config.net, config.cost, config.integrator, seeds, config.scale)
-    with open(args.out, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["seed", "label", "grad_f_norm", "grad_g_norm", "note"])
-        for seed, res in zip(seeds, results):
-            writer.writerow(
-                [seed, res.label, f"{res.grad_f_norm:.17g}", f"{res.grad_g_norm:.17g}", res.note]
-            )
+    rows = ([seed, res.label, res.grad_f_norm, res.grad_g_norm, res.note] for seed, res in zip(seeds, results))
+    write_csv(args.out, ["seed", "label", "grad_f_norm", "grad_g_norm", "note"], rows)
     counts: dict[str, int] = {}
     for res in results:
         counts[res.label] = counts.get(res.label, 0) + 1
@@ -358,15 +350,11 @@ def _cmd_accelerate(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
-    with open(args.out, "w", newline="") as handle:
-        handle.write("t,cost_low_c,cost_high_c,margin\n")
-        for t, lo, hi in zip(report.t_grid, report.cost_low_c, report.cost_high_c):
-            handle.write(f"{t:.17g},{lo:.17g},{hi:.17g},{lo - hi:.17g}\n")
+    rows = ([t, lo, hi, lo - hi] for t, lo, hi in zip(report.t_grid, report.cost_low_c, report.cost_high_c))
+    write_csv(args.out, ["t", "cost_low_c", "cost_high_c", "margin"], rows)
     if args.collapse_out:
-        with open(args.collapse_out, "w", newline="") as handle:
-            handle.write("tau,z_low_c,z_high_c\n")
-            for tau, zl, zh in zip(report.tau_grid, report.z_low_tau, report.z_high_tau):
-                handle.write(f"{tau:.17g},{zl:.17g},{zh:.17g}\n")
+        rows = zip(report.tau_grid, report.z_low_tau, report.z_high_tau)
+        write_csv(args.collapse_out, ["tau", "z_low_c", "z_high_c"], rows)
 
     margins = report.cost_low_c[report.t_grid > 0] - report.cost_high_c[report.t_grid > 0]
     print(
@@ -390,20 +378,8 @@ def _cmd_dichotomy(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
-    with open(args.out, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["kind", "d0", "D0", "final_cost", "final_state_norm", "label"])
-        for run in report.runs:
-            writer.writerow(
-                [
-                    run.kind,
-                    f"{run.d0:.17g}",
-                    f"{run.D0:.17g}",
-                    f"{run.final_cost:.17g}",
-                    f"{run.final_state_norm:.17g}",
-                    run.label,
-                ]
-            )
+    rows = ([r.kind, r.d0, r.D0, r.final_cost, r.final_state_norm, r.label] for r in report.runs)
+    write_csv(args.out, ["kind", "d0", "D0", "final_cost", "final_state_norm", "label"], rows)
     print(
         f"{len(report.runs)} runs to {args.out}; generic ok={report.generic_converged}, "
         f"anti-balanced ok={report.anti_converged_to_origin}"
@@ -448,9 +424,7 @@ def _cmd_invariant_check(args) -> int:
     d = drift(traj)
     inv0 = invariants(stack0)
     residual = max(max(norm_chain_residual(s.stack, inv0)) for s in traj.samples)
-    with open(args.out, "w", newline="") as handle:
-        handle.write("drift,max_norm_chain_residual,stop_reason\n")
-        handle.write(f"{d:.17g},{residual:.17g},{traj.stop_reason}\n")
+    write_csv(args.out, ["drift", "max_norm_chain_residual", "stop_reason"], [[d, residual, traj.stop_reason]])
     print(f"drift={d:.3g} max_norm_chain_residual={residual:.3g} ({traj.stop_reason})")
     if traj.stop_reason == "non_finite":
         raise NumericalFailure("trajectory left the finite domain")

@@ -627,12 +627,13 @@ class PdpliReport:
 
     alpha_scale is the largest kappa with |f'(w)| >= kappa * sqrt(f(w) - fmin)
     across the grid; witness is a grid point achieving the minimum ratio when
-    the check fails.
+    the check fails; fmin is the value the scan measured against.
     """
 
     passed: bool
     witness: Optional[float]
     alpha_scale: float
+    fmin: float
 
 
 def pdpli_check(cost: ScalarCost, interval: tuple[float, float]) -> PdpliReport:
@@ -658,11 +659,11 @@ def pdpli_check(cost: ScalarCost, interval: tuple[float, float]) -> PdpliReport:
 
     active = f > fmin + 1e-12
     if not np.any(active):
-        return PdpliReport(passed=True, witness=None, alpha_scale=math.inf)
+        return PdpliReport(passed=True, witness=None, alpha_scale=math.inf, fmin=fmin)
 
     ratios = np.abs(fp[active]) / np.sqrt(f[active] - fmin)
     worst = int(np.argmin(ratios))
     kappa = float(ratios[worst])
     passed = kappa > 1e-8
     witness = None if passed else float(grid[active][worst])
-    return PdpliReport(passed=passed, witness=witness, alpha_scale=kappa)
+    return PdpliReport(passed=passed, witness=witness, alpha_scale=kappa, fmin=fmin)

@@ -23,6 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ovflow.cost import MatrixCost
+from ovflow.csvio import write_csv
 from ovflow.invariant import drift_series, imbalance_series
 from ovflow.linnet import LayerStack, NetShape, flow_field, pack, product, random_init, unpacker
 from ovflow.odeint import IntegratorConfig, solve_flow, solve_flow_batch
@@ -199,9 +200,6 @@ def write_trajectory_csv(traj: Trajectory, cost: MatrixCost, path: str) -> None:
     """One row per sample: t, cost, gradient norms, invariant drift, scalar
     imbalance (blank unless the stack is two-layer with n = 1), then the
     product entries row-major.
-
-    Values are written with 17 significant digits so parsing them back
-    reproduces the doubles exactly.
     """
     n, depth, count = traj.shape.n, traj.shape.depth, len(traj.t)
     layers = traj.layers()
@@ -210,16 +208,13 @@ def write_trajectory_csv(traj: Trajectory, cost: MatrixCost, path: str) -> None:
         w = product(layers)
         grad_f_norm = [float(np.linalg.norm(g)) for g in cost.gradient(w)]
     drift = drift_series(layers) if depth >= 2 else np.zeros(count)
-    imbalance = [f"{c:.17g}" for c in imbalance_series(layers).tolist()] if depth == 2 and n == 1 else [""] * count
+    imbalance = imbalance_series(layers).tolist() if depth == 2 and n == 1 else [""] * count
     leading = np.column_stack([traj.t, traj.cost, traj.grad_norm, grad_f_norm, drift])
 
     header = ["t", "cost", "grad_g_norm", "grad_f_norm", "drift", "imbalance_c"]
     header += [f"w_{r}_{c}" for r in range(n) for c in range(n)]
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for head, imb, entries in zip(leading, imbalance, w.reshape(count, -1)):
-            writer.writerow([f"{v:.17g}" for v in head.tolist()] + [imb] + [f"{v:.17g}" for v in entries.tolist()])
+    rows = zip(leading, imbalance, w.reshape(count, -1))
+    write_csv(path, header, (head.tolist() + [imb] + entries.tolist() for head, imb, entries in rows))
 
 
 def read_trajectory_csv(path: str) -> dict[str, np.ndarray]:

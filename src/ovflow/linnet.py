@@ -24,6 +24,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from ovflow.csvio import write_csv
+
 __all__ = [
     "DegenerateWidthWarning",
     "NetShape",
@@ -263,14 +265,9 @@ def rescale_pair(stack: LayerStack, i: int, eta: float) -> LayerStack:
 
 
 def write_stack_csv(stack: LayerStack, path: str) -> None:
-    """Serialize as layer,row,col,value rows; values keep 17 significant digits."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["layer", "row", "col", "value"])
-        for idx, layer in enumerate(stack.layers, start=1):
-            for r in range(layer.shape[0]):
-                for c in range(layer.shape[1]):
-                    writer.writerow([idx, r, c, f"{layer[r, c]:.17g}"])
+    """Serialize as layer,row,col,value rows."""
+    rows = ([i, r, c, layer[r, c]] for i, layer in enumerate(stack.layers, start=1) for r, c in np.ndindex(layer.shape))
+    write_csv(path, ["layer", "row", "col", "value"], rows)
 
 
 def read_stack_csv(path: str) -> LayerStack:

@@ -19,13 +19,13 @@ compared against the algebraic certificate.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ovflow.cost import MatrixCost
+from ovflow.csvio import write_csv
 from ovflow.linnet import LayerStack, flow_field, layer_gradients, pack, product, write_stack_csv
 
 __all__ = [
@@ -198,17 +198,8 @@ def certify_strict_saddle(stack: LayerStack, cost: MatrixCost) -> SaddleCertific
 def write_certificate_csv(cert: SaddleCertificate, path: str) -> str:
     """Write the certificate row; the direction goes to a sibling file in
     the layer CSV format. Returns the direction file path."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["curvature", "q_bar", "min_eig", "is_strict_saddle"])
-        writer.writerow(
-            [
-                f"{cert.curvature:.17g}",
-                f"{cert.q_bar:.17g}",
-                f"{cert.min_eig:.17g}",
-                str(cert.is_strict_saddle).lower(),
-            ]
-        )
+    row = [cert.curvature, cert.q_bar, cert.min_eig, str(cert.is_strict_saddle).lower()]
+    write_csv(path, ["curvature", "q_bar", "min_eig", "is_strict_saddle"], [row])
     stem, dot, _ = path.rpartition(".")
     direction_path = (stem if dot else path) + "_direction.csv"
     M1, M2 = cert.direction

@@ -28,6 +28,7 @@ from typing import Union
 
 import numpy as np
 
+from ovflow.csvio import write_csv
 from ovflow.odeint import IntegratorConfig, solve_flow
 
 __all__ = [
@@ -260,17 +261,11 @@ def phase_portrait(
 
 
 def write_portrait_csv(portrait: PortraitData, path: str) -> None:
-    """Field samples as w1,w2,dw1,dw2 rows, 17 significant digits."""
-    with open(path, "w", newline="") as handle:
-        handle.write("w1,w2,dw1,dw2\n")
-        for a, b, c, d in zip(portrait.w1, portrait.w2, portrait.dw1, portrait.dw2):
-            handle.write(f"{a:.17g},{b:.17g},{c:.17g},{d:.17g}\n")
+    """Field samples as w1,w2,dw1,dw2 rows."""
+    write_csv(path, ["w1", "w2", "dw1", "dw2"], zip(portrait.w1, portrait.w2, portrait.dw1, portrait.dw2))
 
 
 def write_overlays_csv(portrait: PortraitData, path: str) -> None:
     """All overlay polylines in one file, tagged by curve_id."""
-    with open(path, "w", newline="") as handle:
-        handle.write("w1,w2,curve_id\n")
-        for curve_id, polyline in portrait.overlays:
-            for a, b in polyline:
-                handle.write(f"{a:.17g},{b:.17g},{curve_id}\n")
+    rows = ([a, b, curve_id] for curve_id, polyline in portrait.overlays for a, b in polyline)
+    write_csv(path, ["w1", "w2", "curve_id"], rows)

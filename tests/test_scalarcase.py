@@ -177,6 +177,18 @@ def test_dichotomy_preconditions():
         dichotomy_experiment(flat_at_zero, 2, cfg)  # f'(0) = 0: no sign
 
 
+@pytest.mark.parametrize("text", ["(w - 1.0001)^2", "(w - 0.7)^2 + 0.1 * w^4"])
+def test_dichotomy_without_declared_minimum(text):
+    # no grid point lands on the minimizer, so a grid minimum sits above the
+    # infimum the generic runs reach
+    cost = parse_scalar_cost(text)
+    cfg = IntegratorConfig(rtol=1e-10, atol=1e-12, t_max=50.0)
+    report = dichotomy_experiment(cost, 2, cfg, n_generic=6, n_anti=3, seed=0)
+    generic = [r for r in report.runs if r.kind == "generic"]
+    assert all(r.label == "critical_of_f" and r.final_cost < report.pdpli.fmin for r in generic)
+    assert report.passed
+
+
 @pytest.mark.parametrize("text", ["(1 - w)^2", "(2 - w)^2"])
 def test_batched_dichotomy_matches_serial_runs(text):
     cost = parse_scalar_cost(text, min_value=0.0)
