@@ -641,7 +641,11 @@ def pdpli_check(cost: ScalarCost, interval: tuple[float, float]) -> PdpliReport:
 
     fmin is the cost's declared min_value, else the grid minimum.
     Points with f within 1e-12 of fmin are skipped: the ratio is 0/0 there.
-    The check passes when the worst ratio stays above a small positive floor.
+    The check passes when the worst ratio stays above a small positive floor
+    and no critical point lies above fmin + 1e-12. The grid seldom lands on
+    a critical point, so each sign change of f' between adjacent grid points
+    is located by bisection; a local minimum or maximum above fmin, where
+    the ratio is 0, fails the check with that point as the witness.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
@@ -664,6 +668,20 @@ def pdpli_check(cost: ScalarCost, interval: tuple[float, float]) -> PdpliReport:
     ratios = np.abs(fp[active]) / np.sqrt(f[active] - fmin)
     worst = int(np.argmin(ratios))
     kappa = float(ratios[worst])
-    passed = kappa > 1e-8
-    witness = None if passed else float(grid[active][worst])
-    return PdpliReport(passed=passed, witness=witness, alpha_scale=kappa, fmin=fmin)
+    if not kappa > 1e-8:
+        return PdpliReport(passed=False, witness=float(grid[active][worst]), alpha_scale=kappa, fmin=fmin)
+    for i in np.flatnonzero((fp[:-1] < 0.0) != (fp[1:] < 0.0)):
+        a, b = float(grid[i]), float(grid[i + 1])
+        a_negative = fp[i] < 0.0
+        mid = 0.5 * (a + b)
+        while a < mid < b:  # halve down to adjacent doubles
+            if (cost.deriv(mid) < 0.0) == a_negative:
+                a = mid
+            else:
+                b = mid
+            mid = 0.5 * (a + b)
+        excess = cost.value(mid) - fmin
+        if excess > 1e-12:
+            ratio = abs(cost.deriv(mid)) / math.sqrt(excess)
+            return PdpliReport(passed=False, witness=mid, alpha_scale=min(kappa, ratio), fmin=fmin)
+    return PdpliReport(passed=True, witness=None, alpha_scale=kappa, fmin=fmin)

@@ -143,24 +143,30 @@ def layer_gradients(layers: Sequence[np.ndarray], cost) -> list[np.ndarray]:
     gradient costs O(N) small matrix multiplies. Each layer may also be a
     stack of shape (B, rows, cols), one matrix per flow of a batch; the
     gradients then come back stacked the same way.
+
+    The matrices are tiny, so a product's cost is numpy's dispatch, not its
+    flops: 2-D layers take ``ndarray.dot``, about half the overhead of
+    ``matmul`` and the same BLAS call, so the same bits. Stacks need
+    ``matmul``, because ``dot`` on 3-D arrays is not a batched product.
     """
     depth = len(layers)
     if depth == 1:
         return [np.asarray(cost.gradient(layers[0]))]
 
+    mul = np.ndarray.dot if layers[0].ndim == 2 else np.matmul
     prefix = [layers[0]]  # prefix[i] = W_{i+1} ... W_1
     for layer in layers[1:-1]:
-        prefix.append(layer @ prefix[-1])
+        prefix.append(mul(layer, prefix[-1]))
     suffix = [layers[-1]]  # suffix[j] holds W_N ... W_{N-j}
     for layer in layers[-2:0:-1]:
-        suffix.append(suffix[-1] @ layer)
+        suffix.append(mul(suffix[-1], layer))
     suffix.reverse()  # suffix[i] = W_N ... W_{i+2}
 
-    grad_f = cost.gradient(suffix[0] @ layers[0])
-    grads = [suffix[0].swapaxes(-1, -2) @ grad_f]
+    grad_f = cost.gradient(mul(suffix[0], layers[0]))
+    grads = [mul(suffix[0].swapaxes(-1, -2), grad_f)]
     for i in range(1, depth - 1):
-        grads.append(suffix[i].swapaxes(-1, -2) @ grad_f @ prefix[i - 1].swapaxes(-1, -2))
-    grads.append(grad_f @ prefix[depth - 2].swapaxes(-1, -2))
+        grads.append(mul(mul(suffix[i].swapaxes(-1, -2), grad_f), prefix[i - 1].swapaxes(-1, -2)))
+    grads.append(mul(grad_f, prefix[depth - 2].swapaxes(-1, -2)))
     return grads
 
 

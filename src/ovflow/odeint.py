@@ -121,7 +121,7 @@ class OdeResult:
 
 
 def _finite(arr: np.ndarray) -> bool:
-    return bool(np.all(np.isfinite(arr)))
+    return bool(np.isfinite(arr).all())
 
 
 def solve_flow(
@@ -149,7 +149,7 @@ def solve_flow(
         if ts and ts[-1] == t:
             return
         ts.append(t)
-        ys.append(state.copy())
+        ys.append(state)  # never written to: every step makes a fresh state
         fns.append(fnorm)
 
     def finish(reason: str, steps: int) -> OdeResult:
@@ -163,11 +163,15 @@ def solve_flow(
 
     a_rows, b, e = _TABLEAUS[cfg.method]
     stages = np.empty((len(b), y.size))
+    # views made once: at these sizes numpy's dispatch is the cost; ndarray.dot
+    # and math.sqrt below round exactly as matmul, np.linalg.norm and np.mean
+    prior = [stages[: i + 1] for i in range(len(a_rows))]
+    last = stages[-1]
     # blowups are expected to overflow in the field; the finiteness checks
     # turn them into a clean stop instead of a warning cascade
     with np.errstate(over="ignore", invalid="ignore"):
         stages[0] = field(y)
-        fnorm = float(np.linalg.norm(stages[0]))
+        fnorm = math.sqrt(stages[0].dot(stages[0]))
     record(0.0, y, fnorm)
     if not _finite(stages[0]):
         return finish("non_finite", 0)
@@ -196,17 +200,17 @@ def solve_flow(
 
         with np.errstate(over="ignore", invalid="ignore"):
             for i, row in enumerate(a_rows):
-                stages[i + 1] = field(y + h_try * (row @ stages[: i + 1]))
-            y_new = y + h_try * (b @ stages)
-            fnorm_new = float(np.linalg.norm(stages[-1]))  # the last stage is the field at y_new
+                stages[i + 1] = field(y + h_try * row.dot(prior[i]))
+            y_new = y + h_try * b.dot(stages)
+            fnorm_new = math.sqrt(last.dot(last))
             if e is None:
                 err = 0.0
             else:
-                err_vec = h_try * (e @ stages)
                 scale = cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(y_new))
-                err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
+                scaled = h_try * e.dot(stages) / scale
+                err = math.sqrt(np.add.reduce(scaled * scaled) / y.size)
 
-        if not (_finite(y_new) and _finite(stages[-1])):
+        if not (_finite(y_new) and _finite(last)):
             record(t, y, fnorm)
             return finish("non_finite", steps)
         if math.isnan(err):
@@ -216,7 +220,7 @@ def solve_flow(
             steps += 1
             t = bound if landing else t + h_try
             y = y_new
-            stages[0] = stages[-1]  # first-same-as-last
+            stages[0] = last  # first-same-as-last
             fnorm = fnorm_new
 
             hit_cp = landing and cp_idx < len(cps) and bound == cps[cp_idx]

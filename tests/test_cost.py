@@ -251,6 +251,18 @@ def test_pdpli_fails_for_double_well():
     assert report.witness == pytest.approx(0.0, abs=1e-9)
 
 
+def test_pdpli_fails_at_a_critical_point_between_grid_points():
+    # f' = 4w^3 - 6w + 1 vanishes at w ~ 0.170 (local max) and w ~ 1.131 (local
+    # min, above the global one near -1.30); no grid point lands on either, so
+    # the grid ratios alone stay above the floor
+    cost = parse_scalar_cost("w^4 - 3 * w^2 + w")
+    report = pdpli_check(cost, (-3.0, 3.0))
+    assert not report.passed
+    assert abs(cost.deriv(report.witness)) < 1e-12
+    assert cost.value(report.witness) > report.fmin + 1.0
+    assert report.alpha_scale < 1e-8
+
+
 def test_pdpli_flat_cost_is_vacuous():
     report = pdpli_check(parse_scalar_cost("0 * w", min_value=0.0), (-1.0, 1.0))
     assert report.passed

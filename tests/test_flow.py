@@ -329,6 +329,18 @@ def test_solver_stop_reasons():
     assert slow.t[-1] == 2.0
 
 
+@pytest.mark.parametrize("method", ["rk45", "rk4"])
+def test_field_norm_is_the_norm_of_the_field_at_every_sample(method):
+    shape = NetShape(n=2, k=3, depth=3)
+    field = flow_field(shape, COST)
+    cfg = IntegratorConfig(method=method, h0=0.01, t_max=2.0, grad_tol=1e-12, record_stride=3)
+    res = solve_flow(field, pack(random_init(shape, seed=4, scale=0.5).layers), cfg,
+                     checkpoints=[0.05, 0.3, 1.0, 1.7])
+    assert len(res.t) > 10
+    for y, fnorm in zip(res.y, res.field_norm):
+        assert fnorm == np.linalg.norm(field(y))
+
+
 def test_solver_rejects_bad_inputs():
     with pytest.raises(ValueError):
         solve_flow(lambda y: -y, np.array([np.nan]), IntegratorConfig())

@@ -1,5 +1,7 @@
 """Layer stacks: shapes, products, gradients, and the structured initializers."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from ovflow.linnet import (
     LayerStack,
     NetShape,
     balanced_init,
+    flow_field,
     layer_gradients,
     layer_shapes,
     product,
@@ -214,3 +217,23 @@ def test_scalar_cost_drives_gradients_too():
     want = fd_layer_gradients(list(stack.layers), cost)
     for got, ref in zip(grads, want):
         assert rel_err(got, ref) < 1e-6
+
+
+def test_flow_field_rows_match_the_batch_bit_for_bit():
+    # one flow's 2-D layers and a batch's (B, r, c) stacks take different
+    # product routines; every row must still round exactly as the batch does
+    rng = np.random.default_rng(8)
+    scalar = parse_scalar_cost("w^4 - 3 * w^2 + w").as_matrix()
+    for depth in range(1, 5):
+        for n in range(1, 4):
+            for k in [n] if depth == 1 else range(n, n + 4):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", DegenerateWidthWarning)
+                    shape = NetShape(n=n, k=k, depth=depth)
+                quadratic = QuadraticMatrixCost(np.eye(n) + 0.3 * rng.standard_normal((n, n)))
+                for cost in [quadratic, scalar] if n == 1 else [quadratic]:
+                    field = flow_field(shape, cost)
+                    Y = rng.standard_normal((20, sum(r * c for r, c in layer_shapes(shape))))
+                    batch = field(Y)
+                    for i in range(len(Y)):
+                        assert field(Y[i]).tobytes() == batch[i].tobytes(), (shape, cost, i)
