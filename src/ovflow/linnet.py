@@ -145,9 +145,10 @@ def layer_gradients(layers: Sequence[np.ndarray], cost) -> list[np.ndarray]:
     gradients then come back stacked the same way.
 
     The matrices are tiny, so a product's cost is numpy's dispatch, not its
-    flops: 2-D layers take ``ndarray.dot``, about half the overhead of
-    ``matmul`` and the same BLAS call, so the same bits. Stacks need
-    ``matmul``, because ``dot`` on 3-D arrays is not a batched product.
+    flops: 2-D layers take ``ndarray.dot``, which has about half the
+    overhead of ``matmul`` and gives the same bits (the tests check that a
+    row of a batch matches its own evaluation). Stacks need ``matmul``,
+    because ``dot`` on 3-D arrays is not a batched product.
     """
     depth = len(layers)
     if depth == 1:
