@@ -636,6 +636,19 @@ class PdpliReport:
     fmin: float
 
 
+def _bisect_sign_change(fn: Callable[[float], float], a: float, b: float, a_negative: bool) -> float:
+    """A point where fn changes sign between a and b, halved down to adjacent
+    doubles; a_negative says on which side of zero fn(a) lies."""
+    mid = 0.5 * (a + b)
+    while a < mid < b:
+        if (fn(mid) < 0.0) == a_negative:
+            a = mid
+        else:
+            b = mid
+        mid = 0.5 * (a + b)
+    return mid
+
+
 def pdpli_check(cost: ScalarCost, interval: tuple[float, float]) -> PdpliReport:
     """Scan |f'| / sqrt(f - fmin) on a uniform 601-point grid over the interval.
 
@@ -645,7 +658,10 @@ def pdpli_check(cost: ScalarCost, interval: tuple[float, float]) -> PdpliReport:
     and no critical point lies above fmin + 1e-12. The grid seldom lands on
     a critical point, so each sign change of f' between adjacent grid points
     is located by bisection; a local minimum or maximum above fmin, where
-    the ratio is 0, fails the check with that point as the witness.
+    the ratio is 0, fails the check with that point as the witness. A
+    critical point where f' touches 0 without changing sign is a minimum of
+    |f'|, so each sign change of f'' is located the same way, and the ratio
+    there must clear the floor too.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
@@ -670,18 +686,15 @@ def pdpli_check(cost: ScalarCost, interval: tuple[float, float]) -> PdpliReport:
     kappa = float(ratios[worst])
     if not kappa > 1e-8:
         return PdpliReport(passed=False, witness=float(grid[active][worst]), alpha_scale=kappa, fmin=fmin)
-    for i in np.flatnonzero((fp[:-1] < 0.0) != (fp[1:] < 0.0)):
-        a, b = float(grid[i]), float(grid[i + 1])
-        a_negative = fp[i] < 0.0
-        mid = 0.5 * (a + b)
-        while a < mid < b:  # halve down to adjacent doubles
-            if (cost.deriv(mid) < 0.0) == a_negative:
-                a = mid
-            else:
-                b = mid
-            mid = 0.5 * (a + b)
-        excess = cost.value(mid) - fmin
-        if excess > 1e-12:
-            ratio = abs(cost.deriv(mid)) / math.sqrt(excess)
-            return PdpliReport(passed=False, witness=mid, alpha_scale=min(kappa, ratio), fmin=fmin)
+    fpp = np.array([cost.second(w) for w in grid])
+    # a sign change of f' is a critical point whatever the ratio; one of f''
+    # is a minimum of |f'|, which fails only below the floor
+    for fn, values, critical in ((cost.deriv, fp, True), (cost.second, fpp, False)):
+        for i in np.flatnonzero((values[:-1] < 0.0) != (values[1:] < 0.0)):
+            w = _bisect_sign_change(fn, float(grid[i]), float(grid[i + 1]), values[i] < 0.0)
+            excess = cost.value(w) - fmin
+            if excess > 1e-12:
+                ratio = abs(cost.deriv(w)) / math.sqrt(excess)
+                if critical or not ratio > 1e-8:
+                    return PdpliReport(passed=False, witness=w, alpha_scale=min(kappa, ratio), fmin=fmin)
     return PdpliReport(passed=True, witness=None, alpha_scale=kappa, fmin=fmin)

@@ -136,13 +136,17 @@ def product(layers: Sequence[np.ndarray]) -> np.ndarray:
     return np.array(out)
 
 
-def layer_gradients(layers: Sequence[np.ndarray], cost) -> list[np.ndarray]:
+def layer_gradients(
+    layers: Sequence[np.ndarray], cost, out: Optional[Sequence[np.ndarray]] = None
+) -> list[np.ndarray]:
     """Per-layer gradients of g = f(product) at the layers W_1, ..., W_N.
 
     Prefix and suffix partial products are accumulated once, so the whole
     gradient costs O(N) small matrix multiplies. Each layer may also be a
     stack of shape (B, rows, cols), one matrix per flow of a batch; the
-    gradients then come back stacked the same way.
+    gradients then come back stacked the same way. Given ``out``, one
+    C-contiguous array per layer, the gradients are written into it and it
+    is returned.
 
     The matrices are tiny, so a product's cost is numpy's dispatch, not its
     flops: 2-D layers take ``ndarray.dot``, which has about half the
@@ -152,8 +156,14 @@ def layer_gradients(layers: Sequence[np.ndarray], cost) -> list[np.ndarray]:
     """
     depth = len(layers)
     if depth == 1:
-        return [np.asarray(cost.gradient(layers[0]))]
+        grad = np.asarray(cost.gradient(layers[0]))
+        if out is not None:
+            out[0][...] = grad
+            grad = out[0]
+        return [grad]
 
+    if out is None:
+        out = [None] * depth
     mul = np.ndarray.dot if layers[0].ndim == 2 else np.matmul
     prefix = [layers[0]]  # prefix[i] = W_{i+1} ... W_1
     for layer in layers[1:-1]:
@@ -164,10 +174,10 @@ def layer_gradients(layers: Sequence[np.ndarray], cost) -> list[np.ndarray]:
     suffix.reverse()  # suffix[i] = W_N ... W_{i+2}
 
     grad_f = cost.gradient(mul(suffix[0], layers[0]))
-    grads = [mul(suffix[0].swapaxes(-1, -2), grad_f)]
+    grads = [mul(suffix[0].swapaxes(-1, -2), grad_f, out=out[0])]
     for i in range(1, depth - 1):
-        grads.append(mul(mul(suffix[i].swapaxes(-1, -2), grad_f), prefix[i - 1].swapaxes(-1, -2)))
-    grads.append(mul(grad_f, prefix[depth - 2].swapaxes(-1, -2)))
+        grads.append(mul(mul(suffix[i].swapaxes(-1, -2), grad_f), prefix[i - 1].swapaxes(-1, -2), out=out[i]))
+    grads.append(mul(grad_f, prefix[depth - 2].swapaxes(-1, -2), out=out[-1]))
     return grads
 
 
@@ -196,12 +206,34 @@ def unpacker(shape: NetShape) -> Callable[[np.ndarray], list[np.ndarray]]:
     return unpack
 
 
-def flow_field(shape: NetShape, cost) -> Callable[[np.ndarray], np.ndarray]:
-    """The gradient flow's right-hand side -grad g on flat states, one or a batch."""
-    unpack = unpacker(shape)
+# The most arrays a flow field keeps layer views of; past that it forgets them
+# all. A solve passes the same few arrays (nine under rk45) on every call; a
+# caller that passes fresh arrays rebinds on every call.
+_MAX_BOUND = 16
 
-    def field(y: np.ndarray) -> np.ndarray:
-        return -pack(layer_gradients(unpack(y), cost))
+
+def flow_field(shape: NetShape, cost) -> Callable[[np.ndarray, np.ndarray], None]:
+    """The gradient flow's right-hand side -grad g on flat states, one or a
+    batch: ``field(y, out)`` writes the field at y into out.
+
+    The layer views of each array the field sees are made once and kept,
+    keyed by the array's id; the binding holds the array, so its id cannot
+    be reused while bound, and it is cleared past ``_MAX_BOUND`` arrays.
+    """
+    unpack = unpacker(shape)
+    bound: dict[int, tuple[np.ndarray, list[np.ndarray]]] = {}
+
+    def views(arr: np.ndarray) -> list[np.ndarray]:
+        entry = bound.get(id(arr))
+        if entry is None or entry[0] is not arr:
+            if len(bound) >= _MAX_BOUND:
+                bound.clear()
+            entry = bound[id(arr)] = (arr, unpack(arr))
+        return entry[1]
+
+    def field(y: np.ndarray, out: np.ndarray) -> None:
+        layer_gradients(views(y), cost, out=views(out))
+        np.negative(out, out=out)
 
     return field
 

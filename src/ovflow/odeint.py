@@ -11,6 +11,14 @@ checkpoints, recording and a stop predicate; ``solve_flow_batch`` runs a
 (batch, dim) array of independent flows at once, each row stepping as its
 own ``solve_flow`` run would. Both loops serve both methods.
 
+A field is called as ``field(y, out)`` and writes the field at y into out,
+an array of y's shape; its return value is ignored. Within one solve the
+loops pass the same arrays again and again: one stage-input buffer and the
+rows of one stage array, each made once (the batched loop makes them anew
+when rows leave the batch). A field may therefore keep per-array work,
+such as views of its own structures, keyed by array identity. It must not
+keep the arrays' contents: the loops rewrite them between calls.
+
 The solver stops on whichever comes first: the field norm dropping below
 ``grad_tol`` (convergence), reaching ``t_max``, exhausting ``max_steps``,
 a step whose new state or field there is non-finite (the last finite
@@ -124,14 +132,23 @@ def _finite(arr: np.ndarray) -> bool:
     return bool(np.isfinite(arr).all())
 
 
+Field = Callable[[np.ndarray, np.ndarray], None]
+
+
 def solve_flow(
-    field: Callable[[np.ndarray], np.ndarray],
+    field: Field,
     y0: np.ndarray,
     cfg: IntegratorConfig,
     checkpoints: Optional[Sequence[float]] = None,
     stop_when: Optional[Callable[[float, np.ndarray], bool]] = None,
 ) -> OdeResult:
-    """Integrate dy/dt = field(y) from y0 under the given config."""
+    """Integrate dy/dt = field(y) from y0 under the given config.
+
+    field(y, out) writes the field at the (d,) state y into the (d,) array
+    out. The first call sees the initial state; every later call gets the
+    solve's one stage-input buffer and one of its stage rows, the same
+    array objects each time.
+    """
     y = np.array(y0, dtype=float).ravel()
     if not _finite(y):
         raise ValueError("initial state contains non-finite entries")
@@ -166,14 +183,16 @@ def solve_flow(
     # views made once: at these sizes numpy's dispatch is the cost; ndarray.dot
     # and math.sqrt below round exactly as matmul, np.linalg.norm and np.mean
     prior = [stages[: i + 1] for i in range(len(a_rows))]
-    last = stages[-1]
+    outs = list(stages)  # the field's output arrays, the same on every call
+    first, last = outs[0], outs[-1]
+    y_stage = np.empty_like(y)
     # blowups are expected to overflow in the field; the finiteness checks
     # turn them into a clean stop instead of a warning cascade
     with np.errstate(over="ignore", invalid="ignore"):
-        stages[0] = field(y)
-        fnorm = math.sqrt(stages[0].dot(stages[0]))
+        field(y, first)
+        fnorm = math.sqrt(first.dot(first))
     record(0.0, y, fnorm)
-    if not _finite(stages[0]):
+    if not _finite(first):
         return finish("non_finite", 0)
     if fnorm < cfg.grad_tol:
         return finish("converged", 0)
@@ -200,7 +219,8 @@ def solve_flow(
 
         with np.errstate(over="ignore", invalid="ignore"):
             for i, row in enumerate(a_rows):
-                stages[i + 1] = field(y + h_try * row.dot(prior[i]))
+                np.add(y, h_try * row.dot(prior[i]), out=y_stage)
+                field(y_stage, outs[i + 1])
             y_new = y + h_try * b.dot(stages)
             fnorm_new = math.sqrt(last.dot(last))
             if e is None:
@@ -220,7 +240,7 @@ def solve_flow(
             steps += 1
             t = bound if landing else t + h_try
             y = y_new
-            stages[0] = last  # first-same-as-last
+            first[...] = last  # first-same-as-last
             fnorm = fnorm_new
 
             hit_cp = landing and cp_idx < len(cps) and bound == cps[cp_idx]
@@ -251,13 +271,17 @@ def solve_flow(
 
 
 def solve_flow_batch(
-    field: Callable[[np.ndarray], np.ndarray],
+    field: Field,
     Y0: np.ndarray,
     cfg: IntegratorConfig,
 ) -> list[OdeResult]:
     """Integrate dy/dt = field(y) from every row of Y0 at once.
 
-    field maps a (b, d) array of states to their (b, d) fields row by row.
+    field(Y, out) writes the fields of a (b, d) array of states into the
+    (b, d) array out, row by row. Apart from the first call, which sees the
+    initial states, the field gets a stage-input buffer and the rows of a
+    stage array, the same array objects from call to call until a row
+    leaves the batch and they are made anew at the smaller size.
     Each row keeps its own time, step size, controller state and step count,
     and measures its error over its own entries, so it makes the accept and
     reject decisions that its solve_flow run makes as long as its error
@@ -283,8 +307,10 @@ def solve_flow_batch(
     err_prev = np.ones(n_rows)
     steps = np.zeros(n_rows, dtype=int)
     stages = np.empty((len(b),) + Y.shape)
+    # the field's arrays, made anew only when the batch shrinks
+    outs, Y_stage = list(stages), np.empty_like(Y)
     with np.errstate(over="ignore", invalid="ignore"):
-        stages[0] = field(Y)
+        field(Y, outs[0])
         fnorm = np.linalg.norm(stages[0], axis=1)
     rows = np.arange(n_rows)
     results: list[Optional[OdeResult]] = [None] * n_rows
@@ -313,6 +339,7 @@ def solve_flow_batch(
                 a[keep] for a in (rows, Y, t, h, err_prev, steps, fnorm)
             )
             stages = np.ascontiguousarray(stages[:, keep])
+            outs, Y_stage = list(stages), np.empty_like(Y)
         if rows.size == 0:
             return results
 
@@ -322,7 +349,8 @@ def solve_flow_batch(
         flat = stages.reshape(len(b), -1)  # a view: stage i is row i of flat
         with np.errstate(over="ignore", invalid="ignore"):
             for i, row in enumerate(a_rows):
-                stages[i + 1] = field(Y + hcol * (row @ flat[: i + 1]).reshape(Y.shape))
+                np.add(Y, hcol * (row @ flat[: i + 1]).reshape(Y.shape), out=Y_stage)
+                field(Y_stage, outs[i + 1])
             Y_new = Y + hcol * (b @ flat).reshape(Y.shape)
             finite = np.isfinite(Y_new).all(axis=1) & np.isfinite(stages[-1]).all(axis=1)
             if e is None:

@@ -168,10 +168,13 @@ def assemble_hessian(stack: LayerStack, cost: MatrixCost) -> np.ndarray:
     dim = x0.size
 
     H = np.empty((dim, dim))
+    down, up = np.empty(dim), np.empty(dim)
     for j in range(dim):
         step = np.zeros(dim)
         step[j] = _HESSIAN_STEP
-        H[:, j] = (field(x0 - step) - field(x0 + step)) / (2.0 * _HESSIAN_STEP)
+        field(x0 - step, down)
+        field(x0 + step, up)
+        H[:, j] = (down - up) / (2.0 * _HESSIAN_STEP)
     return 0.5 * (H + H.T)
 
 

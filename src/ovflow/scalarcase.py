@@ -144,9 +144,9 @@ def reduced_flow(
         raise ValueError(f"imbalance c must be nonnegative, got {c}")
     c = max(c, 0.0)
 
-    def field(y: np.ndarray) -> np.ndarray:
+    def field(y: np.ndarray, out: np.ndarray) -> None:
         z = float(y[0])
-        return np.array([-cost.deriv(z) * math.sqrt(c + 4.0 * z * z)])
+        out[0] = -cost.deriv(z) * math.sqrt(c + 4.0 * z * z)
 
     result = solve_flow(field, np.array([z0]), cfg, checkpoints=checkpoints)
     z = result.y[:, 0]

@@ -92,8 +92,13 @@ class SigTrajectory:
     stop_reason: str
 
 
-def _sig_rhs(y: np.ndarray) -> np.ndarray:
-    return np.array(sig_flow_field(y[0], y[1]))
+def _sig_rhs(y: np.ndarray, out: np.ndarray) -> None:
+    out[0], out[1] = sig_flow_field(y[0], y[1])
+
+
+def _sig_rhs_backward(y: np.ndarray, out: np.ndarray) -> None:
+    _sig_rhs(y, out)
+    np.negative(out, out=out)
 
 
 def sig_integrate(w1: float, w2: float, cfg: IntegratorConfig) -> SigTrajectory:
@@ -109,10 +114,13 @@ def origin_eigenvectors() -> tuple[np.ndarray, np.ndarray]:
     w1 > 0 half plane."""
     h = 1e-6
     jac = np.empty((2, 2))
+    plus, minus = np.empty(2), np.empty(2)
     for j in range(2):
         step = np.zeros(2)
         step[j] = h
-        jac[:, j] = (_sig_rhs(step) - _sig_rhs(-step)) / (2.0 * h)
+        _sig_rhs(step, plus)
+        _sig_rhs(-step, minus)
+        jac[:, j] = (plus - minus) / (2.0 * h)
     eigvals, eigvecs = np.linalg.eig(jac)
     eigvals = eigvals.real
     eigvecs = eigvecs.real
@@ -157,7 +165,7 @@ def separatrix_trace(
         vec = -vec
     y0 = eps * vec
 
-    rhs = _sig_rhs if direction == "forward" else (lambda y: -_sig_rhs(y))
+    rhs = _sig_rhs if direction == "forward" else _sig_rhs_backward
     checkpoints = np.arange(0.01, cfg.t_max, 0.01)
     result = solve_flow(
         rhs,

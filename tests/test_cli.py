@@ -215,6 +215,13 @@ def test_dichotomy_rejects_nondominated_cost(tmp_path):
     assert code == 1
 
 
+def test_dichotomy_rejects_a_degenerate_critical_point(tmp_path, capsys):
+    code = main(["dichotomy", "--expr", "(w - 0.005)^3 + 30", "--k", "2", "--out", str(tmp_path / "x.csv")])
+    assert code == 1
+    assert "fails the gradient-dominance scan" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize("t_max", ["0", "-1"])
 def test_dichotomy_bad_t_max_is_a_usage_error(tmp_path, capsys, t_max):
     code = main(["dichotomy", "--expr", "(1 - w)^2", "--t-max", t_max, "--out", str(tmp_path / "f.csv")])

@@ -263,6 +263,17 @@ def test_pdpli_fails_at_a_critical_point_between_grid_points():
     assert report.alpha_scale < 1e-8
 
 
+def test_pdpli_fails_at_a_degenerate_critical_point():
+    # f' = 3 (w - 0.005)^2 touches 0 at w = 0.005, halfway between grid points,
+    # without changing sign; f = 30 there, far above the grid minimum
+    cost = parse_scalar_cost("(w - 0.005)^3 + 30")
+    report = pdpli_check(cost, (-3.0, 3.0))
+    assert not report.passed
+    assert report.witness == pytest.approx(0.005, abs=1e-12)
+    assert cost.value(report.witness) > report.fmin + 1.0
+    assert report.alpha_scale < 1e-8
+
+
 def test_pdpli_flat_cost_is_vacuous():
     report = pdpli_check(parse_scalar_cost("0 * w", min_value=0.0), (-1.0, 1.0))
     assert report.passed

@@ -211,14 +211,18 @@ def _check_batch_rows_step_like_serial_solves(method):
 
     # y' = y^2 blows up at t = 1/y0 for y0 > 0 and decays for y0 < 0
     short = IntegratorConfig(method=method, t_max=5.0)
-    batch = solve_flow_batch(lambda y: y * y, np.array([[1.0], [0.5], [-1.0]]), short)
+
+    def square(y, out):
+        np.multiply(y, y, out=out)
+
+    batch = solve_flow_batch(square, np.array([[1.0], [0.5], [-1.0]]), short)
     assert [r.stop_reason for r in batch] == ["non_finite", "non_finite", "t_max"]
     for y0, got in zip([1.0, 0.5, -1.0], batch):
-        want = solve_flow(lambda y: y * y, np.array([y0]), short)
+        want = solve_flow(square, np.array([y0]), short)
         assert (got.stop_reason, got.n_steps) == (want.stop_reason, want.n_steps)
 
     # a constant field gives error estimates of zero, up to rounding
-    batch = solve_flow_batch(np.ones_like, np.array([[0.0], [2.0]]), short)
+    batch = solve_flow_batch(lambda y, out: out.fill(1.0), np.array([[0.0], [2.0]]), short)
     assert [r.stop_reason for r in batch] == ["t_max", "t_max"]
 
 
@@ -299,16 +303,20 @@ def test_trajectory_csv_blank_imbalance_for_matrix_case(tmp_path):
 # integrator-level behavior on plain vector fields
 
 
+def _decay(y, out):  # y' = -y
+    np.negative(y, out=out)
+
+
 def test_solver_stop_reasons():
     # e^{-t} crosses grad_tol = 1e-8 around t = 18.4, inside the horizon
-    decay = solve_flow(lambda y: -y, np.array([1.0]), IntegratorConfig(t_max=25.0, grad_tol=1e-8))
+    decay = solve_flow(_decay, np.array([1.0]), IntegratorConfig(t_max=25.0, grad_tol=1e-8))
     assert decay.stop_reason == "converged"
 
-    capped = solve_flow(lambda y: -y, np.array([1.0]), IntegratorConfig(t_max=10.0, max_steps=3))
+    capped = solve_flow(_decay, np.array([1.0]), IntegratorConfig(t_max=10.0, max_steps=3))
     assert capped.stop_reason == "max_steps"
 
     grow = solve_flow(
-        lambda y: y,
+        lambda y, out: np.copyto(out, y),
         np.array([1.0]),
         IntegratorConfig(t_max=10.0, grad_tol=1e-12),
         stop_when=lambda t, y: float(y[0]) > 2.0,
@@ -317,14 +325,15 @@ def test_solver_stop_reasons():
     assert grow.y[-1, 0] > 2.0
 
     blow = solve_flow(
-        lambda y: y * y * y * 1e4,
+        lambda y, out: np.multiply(y * y * y, 1e4, out=out),
         np.array([1.0]),
         IntegratorConfig(t_max=10.0, rtol=1e-3, atol=1e-6, grad_tol=1e-12),
     )
     assert blow.stop_reason == "non_finite"
     assert np.all(np.isfinite(blow.y))  # the recorded tail stays finite
 
-    slow = solve_flow(lambda y: -0.01 * y, np.array([1.0]), IntegratorConfig(t_max=2.0, grad_tol=1e-12))
+    slow = solve_flow(lambda y, out: np.multiply(-0.01, y, out=out), np.array([1.0]),
+                      IntegratorConfig(t_max=2.0, grad_tol=1e-12))
     assert slow.stop_reason == "t_max"
     assert slow.t[-1] == 2.0
 
@@ -337,13 +346,15 @@ def test_field_norm_is_the_norm_of_the_field_at_every_sample(method):
     res = solve_flow(field, pack(random_init(shape, seed=4, scale=0.5).layers), cfg,
                      checkpoints=[0.05, 0.3, 1.0, 1.7])
     assert len(res.t) > 10
+    out = np.empty(res.y.shape[1])
     for y, fnorm in zip(res.y, res.field_norm):
-        assert fnorm == np.linalg.norm(field(y))
+        field(y, out)
+        assert fnorm == np.linalg.norm(out)
 
 
 def test_solver_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        solve_flow(lambda y: -y, np.array([np.nan]), IntegratorConfig())
+        solve_flow(_decay, np.array([np.nan]), IntegratorConfig())
     with pytest.raises(ValueError):
         IntegratorConfig(method="euler")
     with pytest.raises(ValueError):
@@ -356,7 +367,7 @@ def test_solver_rejects_bad_inputs():
 
 def test_checkpoints_are_recorded_exactly():
     cps = [0.1, 0.25, 0.5, 1.0, 1.5]
-    res = solve_flow(lambda y: -y, np.array([1.0]),
+    res = solve_flow(_decay, np.array([1.0]),
                      IntegratorConfig(t_max=2.0, grad_tol=1e-14), checkpoints=cps)
     for cp in cps:
         assert cp in res.t.tolist()

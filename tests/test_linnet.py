@@ -1,6 +1,7 @@
 """Layer stacks: shapes, products, gradients, and the structured initializers."""
 
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -16,10 +17,12 @@ from ovflow.linnet import (
     flow_field,
     layer_gradients,
     layer_shapes,
+    pack,
     product,
     random_init,
     read_stack_csv,
     rescale_pair,
+    unpacker,
     write_stack_csv,
 )
 
@@ -234,6 +237,66 @@ def test_flow_field_rows_match_the_batch_bit_for_bit():
                 for cost in [quadratic, scalar] if n == 1 else [quadratic]:
                     field = flow_field(shape, cost)
                     Y = rng.standard_normal((20, sum(r * c for r, c in layer_shapes(shape))))
-                    batch = field(Y)
+                    batch, row = np.empty_like(Y), np.empty(Y.shape[1])
+                    field(Y, batch)
                     for i in range(len(Y)):
-                        assert field(Y[i]).tobytes() == batch[i].tobytes(), (shape, cost, i)
+                        field(Y[i], row)
+                        assert row.tobytes() == batch[i].tobytes(), (shape, cost, i)
+
+
+def _every_shape():
+    """Every depth 1-4, n 1-3, k n..n+3 shape (depth 1 only has k = n)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateWidthWarning)
+        return [NetShape(n=n, k=k, depth=depth)
+                for depth in range(1, 5) for n in range(1, 4) for k in ([n] if depth == 1 else range(n, n + 4))]
+
+
+def test_flow_field_writes_the_packed_field_bit_for_bit():
+    # the in-place field must give -pack(layer_gradients(unpack(y))) exactly;
+    # row 0 is the zero stack, whose field has signed zeros, so compare bytes
+    rng = np.random.default_rng(12)
+    for shape in _every_shape():
+        cost = QuadraticMatrixCost(np.eye(shape.n) + 0.3 * rng.standard_normal((shape.n, shape.n)))
+        field, unpack = flow_field(shape, cost), unpacker(shape)
+        Y = rng.standard_normal((6, sum(r * c for r, c in layer_shapes(shape))))
+        Y[0] = 0.0
+        out = np.empty_like(Y)
+        for _ in range(2):  # the second call reuses the bound views
+            field(Y, out)
+            assert out.tobytes() == (-pack(layer_gradients(unpack(Y), cost))).tobytes(), shape
+        row = np.empty(Y.shape[1])
+        for y in Y:
+            field(y, row)
+            assert row.tobytes() == (-pack(layer_gradients(unpack(y), cost))).tobytes(), shape
+
+
+def test_flow_field_reads_a_rewritten_buffer_afresh():
+    shape = NetShape(n=2, k=3, depth=3)
+    cost = QuadraticMatrixCost(np.eye(2))
+    field = flow_field(shape, cost)
+    first = pack(random_init(shape, seed=1, scale=0.5).layers)
+    second = pack(random_init(shape, seed=2, scale=0.5).layers)
+    y, out, want = np.empty_like(first), np.empty_like(first), np.empty_like(first)
+    y[:] = first
+    field(y, out)
+    y[:] = second
+    field(y, out)
+    field(second.copy(), want)
+    assert out.tobytes() == want.tobytes()
+    field(first.copy(), want)
+    assert out.tobytes() != want.tobytes()
+
+
+def test_flow_field_keeps_few_fresh_arrays_alive():
+    shape = NetShape(n=2, k=4, depth=2)
+    field = flow_field(shape, QuadraticMatrixCost(np.eye(2)))
+    rng = np.random.default_rng(3)
+    refs = []
+    for _ in range(100):
+        y, out = rng.standard_normal(16), np.empty(16)
+        field(y, out)
+        refs += [weakref.ref(y), weakref.ref(out)]
+        del y, out
+    alive = sum(ref() is not None for ref in refs)
+    assert alive <= 16  # the binding is cleared past 16 arrays
