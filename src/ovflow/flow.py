@@ -9,13 +9,15 @@ states, ``integrate_baseline`` runs dW/dt = -grad f(W) on the plain matrix
 state (stored as a depth-1 stack so the same reporting works), and
 ``sweep`` classifies the limits of a batch of random initializations.
 
-A recorded run is a ``Trajectory`` of the solver's sample arrays; drift and
-the trajectory CSV work on them stacked over samples.
+A recorded run is a ``Trajectory`` of the solver's sample arrays, locked
+read-only; its samples are views of them, its drift is computed once, and
+the trajectory CSV works on them stacked over samples.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -55,8 +57,15 @@ class FlowSample:
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """A recorded flow as read-only arrays, one row per sample: t (S,), flat
-    states y (S, d), cost (S,) and ||grad g||_F (S,). ``samples`` and
-    ``final`` present those rows as FlowSamples, built when first read."""
+    states y (S, d), cost (S,) and ||grad g||_F (S,). As the integrators
+    build it, each array is a view of a read-only owner, so numpy refuses to
+    make it writeable again.
+
+    ``samples`` and ``final`` present those rows as FlowSamples, built when
+    first read. Their stacks are not copies: each layer is a read-only view
+    of y, shaped by ``unpacker(shape)``, and y is checked finite once for
+    all the samples built. ``drift_series`` is computed once and serves both
+    ``invariant.drift`` and the trajectory CSV."""
 
     t: np.ndarray
     y: np.ndarray
@@ -72,16 +81,26 @@ class Trajectory:
 
     @cached_property
     def samples(self) -> tuple[FlowSample, ...]:
-        layers = self.layers()
-        return tuple(self._sample(layers, i) for i in range(len(self.t)))
+        return self._samples(slice(None))
 
     @property
     def final(self) -> FlowSample:
-        return self._sample(self.layers(), -1)
+        return self._samples(slice(-1, None))[0]
 
-    def _sample(self, layers: list[np.ndarray], i: int) -> FlowSample:
-        stack = LayerStack(self.shape, tuple(layer[i] for layer in layers))
-        return FlowSample(float(self.t[i]), stack, float(self.cost[i]), float(self.grad_norm[i]))
+    @cached_property
+    def drift_series(self) -> np.ndarray:
+        """``invariant.drift_series`` of the recording (read-only); needs
+        at least two layers."""
+        return _locked(drift_series(self.layers()))
+
+    def _samples(self, rows: slice) -> tuple[FlowSample, ...]:
+        y = self.y[rows]
+        y.flags.writeable = False  # and so every view of it, even in a hand-built trajectory
+        if not np.isfinite(y).all():
+            raise ValueError("recorded states contain non-finite entries")
+        stacks = (LayerStack._of_views(self.shape, views) for views in zip(*unpacker(self.shape)(y)))
+        t, cost, grad_norm = (arr[rows].tolist() for arr in (self.t, self.cost, self.grad_norm))
+        return tuple(map(FlowSample, t, stacks, cost, grad_norm))
 
 
 @dataclass(frozen=True)
@@ -97,13 +116,18 @@ class LimitClass:
     note: str = ""
 
 
+def _locked(arr: np.ndarray) -> np.ndarray:
+    # a read-only view of a read-only owner cannot be made writeable again
+    arr.flags.writeable = False
+    return arr.view()
+
+
 def _as_trajectory(result, shape: NetShape, cost: MatrixCost, cfg: IntegratorConfig) -> Trajectory:
     # near-overflow tails of diverging runs evaluate to inf, not a warning storm
     with np.errstate(over="ignore", invalid="ignore"):
         values = np.array([cost.value(w) for w in product(unpacker(shape)(result.y))])
-    for arr in (result.t, result.y, values, result.field_norm):
-        arr.flags.writeable = False
-    return Trajectory(result.t, result.y, values, result.field_norm, shape, result.stop_reason, cfg)
+    t, y, values, grad_norm = map(_locked, (result.t, result.y, values, result.field_norm))
+    return Trajectory(t, y, values, grad_norm, shape, result.stop_reason, cfg)
 
 
 def integrate(
@@ -206,8 +230,9 @@ def write_trajectory_csv(traj: Trajectory, cost: MatrixCost, path: str) -> None:
     # the tail of a diverging run overflows to inf in the norms, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
         w = product(layers)
-        grad_f_norm = [float(np.linalg.norm(g)) for g in cost.gradient(w)]
-    drift = drift_series(layers) if depth >= 2 else np.zeros(count)
+        # math.sqrt(g.dot(g)) over a flattened row is np.linalg.norm of that matrix
+        grad_f_norm = [math.sqrt(g.dot(g)) for g in cost.gradient(w).reshape(count, -1)]
+    drift = traj.drift_series if depth >= 2 else np.zeros(count)
     imbalance = imbalance_series(layers).tolist() if depth == 2 and n == 1 else [""] * count
     leading = np.column_stack([traj.t, traj.cost, traj.grad_norm, grad_f_norm, drift])
 

@@ -11,10 +11,18 @@ two-layer scalar-output case.
 
 ``invariants`` and ``norm_chain_residual`` take one ``LayerStack``; the
 ``*_series`` functions take a recording's (S, rows, cols) layer stacks.
+``drift`` reads a trajectory's ``drift_series``, which the trajectory
+computes once and shares with its CSV.
+
+Frobenius norms are taken the way numpy's own wrappers take them, without
+the wrappers: ``np.add.reduce(x * x, axis=None)`` is what ``np.sum`` calls,
+and ``math.sqrt(r.dot(r))`` over a matrix's flattened entries is what
+``np.linalg.norm`` computes for it. Every result is bit for bit the same.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -82,7 +90,7 @@ def norm_chain_residual(stack: LayerStack, inv0: InvariantSet) -> list[float]:
     """
     if len(inv0.traces) != stack.shape.depth - 1:
         raise ValueError("invariant set does not match the stack depth")
-    norms = [float(np.sum(layer * layer)) for layer in stack.layers]
+    norms = [float(np.add.reduce(layer * layer, axis=None)) for layer in stack.layers]
     return [
         abs(norms[i] - norms[i + 1] - inv0.traces[i])
         for i in range(stack.shape.depth - 1)
@@ -102,8 +110,9 @@ def drift_series(layers: Sequence[np.ndarray]) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         for a, b in zip(layers[:-1], layers[1:]):
             c = _balance(a, b)
-            scale = 1.0 + float(np.linalg.norm(c[0]))
-            err = np.array([float(np.linalg.norm(d)) for d in c - c[0]]) / scale
+            c0 = c[0].ravel()
+            scale = 1.0 + math.sqrt(c0.dot(c0))
+            err = np.array([math.sqrt(r.dot(r)) for r in (c - c[0]).reshape(len(c), -1)]) / scale
             series = np.fmax(series, err)
     return series
 
@@ -111,9 +120,10 @@ def drift_series(layers: Sequence[np.ndarray]) -> np.ndarray:
 def drift(traj) -> float:
     """Worst normalized invariant drift along a trajectory.
 
-    The max of ``drift_series`` over the samples. Zero for an exact flow;
-    for a numerical one this is the conservation error of the integrator.
+    The max of the trajectory's ``drift_series`` over the samples. Zero for
+    an exact flow; for a numerical one this is the conservation error of the
+    integrator.
     """
     if len(traj.t) == 0:
         raise ValueError("empty trajectory")
-    return float(np.max(drift_series(traj.layers())))
+    return float(np.max(traj.drift_series))

@@ -90,7 +90,10 @@ class LayerStack:
     """An immutable tuple of layer matrices with a validated shape.
 
     Layers are copied and marked read-only at construction, so no later
-    write to the arrays a stack was built from can change it.
+    write to the arrays a stack was built from can change it. The one
+    exception is a recording's samples (``flow.Trajectory.samples`` and
+    ``final``): their layers are read-only views of the recording's locked
+    states, validated once for the whole recording and not copied.
     """
 
     shape: NetShape
@@ -112,6 +115,15 @@ class LayerStack:
             arr.flags.writeable = False
             frozen.append(arr)
         object.__setattr__(self, "layers", tuple(frozen))
+
+    @classmethod
+    def _of_views(cls, shape: NetShape, layers: tuple[np.ndarray, ...]) -> "LayerStack":
+        # Neither copies nor checks: the caller guarantees finite, read-only
+        # layers of the shape's layer shapes.
+        stack = object.__new__(cls)
+        object.__setattr__(stack, "shape", shape)
+        object.__setattr__(stack, "layers", layers)
+        return stack
 
     @classmethod
     def from_layers(cls, layers: Sequence[np.ndarray]) -> "LayerStack":

@@ -1,13 +1,16 @@
 """Command-line behavior: exit codes, file outputs, determinism."""
 
+import importlib
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ovflow.cli import main
+from ovflow.cli import console_main, main
 from ovflow.flow import read_trajectory_csv
 
 TARGET = [[2.0, 0.3], [-0.1, 1.0]]
@@ -377,6 +380,33 @@ def test_parse_cost_unfoldable_constant_power(capsys):
 def test_parse_cost_bad_expression(capsys):
     assert main(["parse-cost", "--expr", "(1 - w"]) == 1
     assert "position" in capsys.readouterr().err
+
+
+# console script
+
+
+def _console_script():
+    """The callable that pyproject.toml's [project.scripts] entry names."""
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    scripts = text.split("[project.scripts]", 1)[1]
+    module, attr = re.search(r'^ovflow = "([\w.]+):(\w+)"$', scripts, re.M).groups()
+    return getattr(importlib.import_module(module), attr)
+
+
+@pytest.mark.parametrize("argv, status", [
+    (["parse-cost", "--expr", "(1 - w)^2", "--at", "0.5"], 0),
+    (["accelerate", "--expr", "(1 - w)^2", "--z0", "0.5", "--c-low", "0", "--c-high", "9",
+      "--t-max", "0", "--out", "r.csv"], 1),
+])
+def test_console_script_exits_with_mains_status(tmp_path, monkeypatch, capsys, argv, status):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", ["ovflow"] + argv)
+    entry = _console_script()
+    assert entry is console_main
+    with pytest.raises(SystemExit) as exc:
+        entry()
+    assert exc.value.code == status
+    assert ("f' = -1" in capsys.readouterr().out) == (status == 0)
 
 
 # figure recipe

@@ -5,6 +5,7 @@ import pytest
 
 from ovflow.cost import QuadraticMatrixCost, parse_scalar_cost
 from ovflow.flow import (
+    Trajectory,
     detect_convergence,
     integrate,
     integrate_baseline,
@@ -13,8 +14,17 @@ from ovflow.flow import (
     sweep,
     write_trajectory_csv,
 )
-from ovflow.invariant import drift, imbalance_scalar, invariants
-from ovflow.linnet import NetShape, balanced_init, flow_field, layer_shapes, pack, random_init
+from ovflow.invariant import drift, drift_series, imbalance_scalar, invariants, norm_chain_residual
+from ovflow.linnet import (
+    DegenerateWidthWarning,
+    NetShape,
+    balanced_init,
+    flow_field,
+    layer_shapes,
+    pack,
+    product,
+    random_init,
+)
 from ovflow.odeint import IntegratorConfig, solve_flow, solve_flow_batch
 from ovflow.scalarcase import anti_balanced, to_stack
 
@@ -281,6 +291,10 @@ def test_array_route_matches_the_per_sample_route(tmp_path, case):
             np.testing.assert_array_equal(got, want[i])
     assert traj.final.t == traj.samples[-1].t
     np.testing.assert_array_equal(traj.final.stack.layers[-1], traj.samples[-1].stack.layers[-1])
+    # samples are read-only views of the recording, not copies
+    for sample in traj.samples + (traj.final,):
+        for layer in sample.stack.layers:
+            assert np.shares_memory(layer, traj.y) and not layer.flags.writeable
 
     series, imbalance = _per_sample_drift_and_imbalance(traj)
     path = tmp_path / "traj.csv"
@@ -289,6 +303,77 @@ def test_array_route_matches_the_per_sample_route(tmp_path, case):
     np.testing.assert_array_equal(data["drift"], series)
     np.testing.assert_array_equal(data["imbalance_c"], imbalance)
     assert drift(traj) == max(series)
+
+
+def test_trajectory_arrays_cannot_be_made_writeable():
+    traj = integrate(random_init(NetShape(2, 3, 3), seed=1, scale=0.5), COST, IntegratorConfig(t_max=5.0))
+    for arr in (traj.t, traj.y, traj.cost, traj.grad_norm, traj.samples[1].stack.layers[1]):
+        with pytest.raises(ValueError):
+            arr.flags.writeable = True
+    with pytest.raises(ValueError):  # shared by drift and the CSV
+        traj.drift_series.flags.writeable = True
+
+
+def test_samples_of_a_non_finite_recording_are_refused():
+    shape = NetShape(1, 2, 2)
+    y = np.ones((3, 4))
+    y[1, 2] = np.nan
+    traj = Trajectory(np.arange(3.0), y, np.zeros(3), np.zeros(3), shape, "t_max", IntegratorConfig())
+    with pytest.raises(ValueError, match="non-finite"):
+        traj.samples
+    assert traj.final.t == 2.0  # the last row is finite
+
+
+def _residual_by_np_sum(stack, inv0):
+    norms = [float(np.sum(layer * layer)) for layer in stack.layers]
+    return [abs(norms[i] - norms[i + 1] - inv0.traces[i]) for i in range(stack.shape.depth - 1)]
+
+
+def _drift_by_np_linalg_norm(layers):
+    series = np.zeros(len(layers[0]))
+    for a, b in zip(layers[:-1], layers[1:]):
+        c = a @ a.swapaxes(-1, -2) - b.swapaxes(-1, -2) @ b
+        scale = 1.0 + float(np.linalg.norm(c[0]))
+        err = np.array([float(np.linalg.norm(d)) for d in c - c[0]]) / scale
+        series = np.fmax(series, err)
+    return series
+
+
+def _norm_route_flows():
+    rng = np.random.default_rng(4)
+    shapes = [(1, n, n) for n in (1, 2, 3)]
+    shapes += [(depth, n, n + extra) for depth in (2, 3, 4) for n in (1, 2, 3) for extra in range(4)]
+    cfg = IntegratorConfig(rtol=1e-8, atol=1e-10, t_max=5.0)
+    with pytest.warns(DegenerateWidthWarning):
+        nets = [NetShape(n, k, depth) for depth, n, k in shapes]
+    for shape in nets:
+        cost = QuadraticMatrixCost(np.eye(shape.n) + 0.3 * rng.standard_normal((shape.n, shape.n)))
+        yield integrate(random_init(shape, seed=int(rng.integers(2**31)), scale=0.5), cost, cfg), cost
+    diverging = parse_scalar_cost("-(w^2)").as_matrix()
+    yield integrate(random_init(NetShape(1, 2, 2), seed=2, scale=1.5), diverging, cfg), diverging
+    # the product overflows, so cost, gradient and balance norms are inf or nan
+    traj = integrate(random_init(NetShape(2, 3, 2), seed=0, scale=1e160), COST, cfg)
+    assert traj.stop_reason == "non_finite" and np.isinf(traj.cost[-1])
+    yield traj, COST
+
+
+def test_norms_match_the_numpy_wrappers_bit_for_bit(tmp_path):
+    path = tmp_path / "traj.csv"
+    for traj, cost in _norm_route_flows():
+        write_trajectory_csv(traj, cost, str(path))
+        column = [line.split(",")[3] for line in path.read_text().splitlines()[1:]]
+        layers = traj.layers()
+        # the last flow overflows everywhere; both routes must overflow alike
+        with np.errstate(over="ignore", invalid="ignore"):
+            grad_f_norm = [float(np.linalg.norm(g)) for g in cost.gradient(product(layers))]
+            assert column == [f"{v:.17g}" for v in grad_f_norm]
+            if traj.shape.depth < 2:
+                continue
+            assert drift_series(layers).tobytes() == _drift_by_np_linalg_norm(layers).tobytes()
+            inv0 = invariants(traj.samples[0].stack)
+            for sample in traj.samples:
+                got, want = norm_chain_residual(sample.stack, inv0), _residual_by_np_sum(sample.stack, inv0)
+                assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def test_trajectory_csv_blank_imbalance_for_matrix_case(tmp_path):
