@@ -218,10 +218,11 @@ def unpacker(shape: NetShape) -> Callable[[np.ndarray], list[np.ndarray]]:
     return unpack
 
 
-# The most arrays a flow field keeps layer views of; past that it forgets them
-# all. A solve passes the same few arrays (nine under rk45) on every call; a
-# caller that passes fresh arrays rebinds on every call.
-_MAX_BOUND = 16
+# The most arrays a flow field keeps layer views of; past that it forgets the
+# one bound first. A serial dop853 solve with checkpoints passes the same 19
+# arrays on every call; a batched solve passes 15, and 13 new ones each time
+# rows leave the batch. A caller that passes fresh arrays rebinds on every call.
+_MAX_BOUND = 24
 
 
 def flow_field(shape: NetShape, cost) -> Callable[[np.ndarray, np.ndarray], None]:
@@ -230,7 +231,8 @@ def flow_field(shape: NetShape, cost) -> Callable[[np.ndarray, np.ndarray], None
 
     The layer views of each array the field sees are made once and kept,
     keyed by the array's id; the binding holds the array, so its id cannot
-    be reused while bound, and it is cleared past ``_MAX_BOUND`` arrays.
+    be reused while bound, and past ``_MAX_BOUND`` arrays the oldest binding
+    is dropped.
     """
     unpack = unpacker(shape)
     bound: dict[int, tuple[np.ndarray, list[np.ndarray]]] = {}
@@ -239,7 +241,7 @@ def flow_field(shape: NetShape, cost) -> Callable[[np.ndarray, np.ndarray], None
         entry = bound.get(id(arr))
         if entry is None or entry[0] is not arr:
             if len(bound) >= _MAX_BOUND:
-                bound.clear()
+                del bound[next(iter(bound))]
             entry = bound[id(arr)] = (arr, unpack(arr))
         return entry[1]
 

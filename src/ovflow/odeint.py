@@ -2,35 +2,42 @@
 
 Every method is an explicit tableau in first-same-as-last form: its last
 stage row gives the new state, so the last stage is the field there and
-opens the next step. Two tableaus are provided: the Dormand-Prince 5(4)
-embedded pair with a proportional-integral step controller (the default),
-and classical RK4, which has no error row, so every finite step is
-accepted at the fixed step h0. The state is a flat float vector; callers
-pack and unpack their own structures. ``solve_flow`` runs one flow with
-checkpoints, recording and a stop predicate; ``solve_flow_batch`` runs a
-(batch, dim) array of independent flows at once, each row stepping as its
-own ``solve_flow`` run would. Both loops serve both methods.
+opens the next step. Two tableaus are provided: Dormand and Prince's 8(5,3)
+pair, DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.10), with a
+proportional-integral step controller (the default), and classical RK4,
+which has no error rows, so every finite step is accepted at the fixed step
+h0. The state is a flat float vector; callers pack and unpack their own
+structures. ``solve_flow`` runs one flow with checkpoints, recording and a
+stop predicate; ``solve_flow_batch`` runs a (batch, dim) array of
+independent flows at once, each row stepping as its own ``solve_flow`` run
+would. Both loops serve both methods.
 
 A field is called as ``field(y, out)`` and writes the field at y into out,
 an array of y's shape; its return value is ignored. Within one solve the
-loops pass the same arrays again and again: one stage-input buffer and the
-rows of one stage array, each made once (the batched loop makes them anew
-when rows leave the batch). A field may therefore keep per-array work,
-such as views of its own structures, keyed by array identity. It must not
-keep the arrays' contents: the loops rewrite them between calls.
+loops pass the same arrays again and again: one stage-input buffer, the
+rows of one stage array and, for checkpoints, one output buffer, each made
+once (the batched loop makes them anew when rows leave the batch). A field
+may therefore keep per-array work, such as views of its own structures,
+keyed by array identity. It must not keep the arrays' contents: the loops
+rewrite them between calls.
 
 The solver stops on whichever comes first: the field norm dropping below
 ``grad_tol`` (convergence), reaching ``t_max``, exhausting ``max_steps``,
 a step whose new state or field there is non-finite (the last finite
 sample is kept; a start whose field is already non-finite stops there), or
-a caller-supplied predicate. ``checkpoints`` are times the solver must
-land on exactly; they are always recorded, which is how trajectories from
-different systems get compared on a shared time grid.
+a caller-supplied predicate. ``checkpoints`` are times that are always
+recorded, which is how trajectories from different systems get compared
+on a shared time grid. Steps are not shortened to land on them: each is
+sampled from the continuous extension of the step that spans it (DOP853's
+7th-order dense output, the cubic Hermite interpolant under RK4), so a
+flow takes the same steps with or without checkpoints. Only ``t_max`` is
+landed on.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -44,29 +51,109 @@ _H_MAX = 1.0
 
 class _Tableau(NamedTuple):
     """Stage rows (row i builds stage i + 1 from stages 0..i; the last row
-    gives the new state), solution weights, and error weights (None for a
-    fixed-step method)."""
+    gives the new state), solution weights, the two error-weight rows of
+    the combined estimate (None for a fixed-step method), the rows of the
+    extra stages the continuous extension needs, and its weights on all
+    stages past the cubic Hermite terms (None: the extension is the cubic
+    Hermite interpolant)."""
 
     a: tuple[np.ndarray, ...]
     b: np.ndarray
-    e: Optional[np.ndarray]
+    e5: Optional[np.ndarray]
+    e3: Optional[np.ndarray]
+    a_extra: tuple[np.ndarray, ...]
+    d: Optional[np.ndarray]
 
+
+# DOP853's coefficients (Hairer's dop853.f, as scipy.integrate ships them):
+# 12 stage rows, the last giving the new state, and 3 extra stages for the
+# dense output. The stage times are not needed: every field is autonomous.
+_DOP853_A = (
+    np.array([0.05260015195876773]),
+    np.array([0.0197250569845379, 0.0591751709536137]),
+    np.array([0.02958758547680685, 0.0, 0.08876275643042054]),
+    np.array([0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792]),
+    np.array([0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242]),
+    np.array([0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596, -0.017578125]),
+    np.array([
+        0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328, -0.015319437748624402,
+        0.008273789163814023,
+    ]),
+    np.array([
+        0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726, 27.59209969944671,
+        20.154067550477894, -43.48988418106996,
+    ]),
+    np.array([
+        0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843, 21.230051448181193,
+        15.279233632882423, -33.28821096898486, -0.020331201708508627,
+    ]),
+    np.array([
+        -0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295, -8.149787010746927,
+        -18.52006565999696, 22.739487099350505, 2.4936055526796523, -3.0467644718982196,
+    ]),
+    np.array([
+        2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625, -17.9589318631188,
+        27.94888452941996, -2.8589982771350235, -8.87285693353063, 12.360567175794303, 0.6433927460157636,
+    ]),
+    np.array([
+        0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003, -5.801203960010585,
+        0.3111643669578199, -0.1521609496625161, 0.20136540080403034, 0.04471061572777259,
+    ]),
+)
+_DOP853_A_EXTRA = (
+    np.array([
+        0.056167502283047954, 0.0, 0.0, 0.0, 0.0, 0.0, 0.25350021021662483, -0.2462390374708025,
+        -0.12419142326381637, 0.15329179827876568, 0.00820105229563469, 0.007567897660545699, -0.008298,
+    ]),
+    np.array([
+        0.03183464816350214, 0.0, 0.0, 0.0, 0.0, 0.028300909672366776, 0.053541988307438566,
+        -0.05492374857139099, 0.0, 0.0, -0.00010834732869724932, 0.0003825710908356584,
+        -0.00034046500868740456, 0.1413124436746325,
+    ]),
+    np.array([
+        -0.42889630158379194, 0.0, 0.0, 0.0, 0.0, -4.697621415361164, 7.683421196062599, 4.06898981839711,
+        0.3567271874552811, 0.0, 0.0, 0.0, -0.0013990241651590145, 2.9475147891527724, -9.15095847217987,
+    ]),
+)
+_DOP853_E5 = np.array([
+    0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044, -0.4957589496572502, 1.6643771824549864,
+    -0.35032884874997366, 0.3341791187130175, 0.08192320648511571, -0.022355307863886294, 0.0,
+])
+_DOP853_E3 = np.array([
+    -0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003, -5.801203960010585,
+    -0.4226823213237919, -0.1521609496625161, 0.20136540080403034, 0.02265179219836082, 0.0,
+])
+_DOP853_D = np.array([
+    [
+        -8.428938276109013, 0.0, 0.0, 0.0, 0.0, 0.5667149535193777, -3.0689499459498917, 2.38466765651207,
+        2.117034582445028, -0.871391583777973, 2.2404374302607883, 0.6315787787694688, -0.08899033645133331,
+        18.148505520854727, -9.194632392478356, -4.436036387594894,
+    ],
+    [
+        10.427508642579134, 0.0, 0.0, 0.0, 0.0, 242.28349177525817, 165.20045171727028, -374.5467547226902,
+        -22.113666853125306, 7.733432668472264, -30.674084731089398, -9.332130526430229, 15.697238121770845,
+        -31.139403219565178, -9.35292435884448, 35.81684148639408,
+    ],
+    [
+        19.985053242002433, 0.0, 0.0, 0.0, 0.0, -387.0373087493518, -189.17813819516758, 527.8081592054236,
+        -11.57390253995963, 6.8812326946963, -1.0006050966910838, 0.7777137798053443, -2.778205752353508,
+        -60.19669523126412, 84.32040550667716, 11.99229113618279,
+    ],
+    [
+        -25.69393346270375, 0.0, 0.0, 0.0, 0.0, -154.18974869023643, -231.5293791760455, 357.6391179106141,
+        93.40532418362432, -37.45832313645163, 104.0996495089623, 29.8402934266605, -43.53345659001114,
+        96.32455395918828, -39.17726167561544, -149.72683625798564,
+    ],
+])
 
 _TABLEAUS = {
-    "rk45": _Tableau(
-        a=(
-            np.array([0.2]),
-            np.array([3.0 / 40.0, 9.0 / 40.0]),
-            np.array([44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0]),
-            np.array([19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0]),
-            np.array([9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0]),
-            np.array([35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0]),
-        ),
-        b=np.array([35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0, 0.0]),
-        # fifth-order minus embedded fourth-order weights
-        e=np.array(
-            [71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0, -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0]
-        ),
+    "dop853": _Tableau(
+        a=_DOP853_A,
+        b=np.append(_DOP853_A[-1], 0.0),
+        e5=_DOP853_E5,
+        e3=_DOP853_E3,
+        a_extra=_DOP853_A_EXTRA,
+        d=_DOP853_D,
     ),
     "rk4": _Tableau(
         a=(
@@ -76,25 +163,33 @@ _TABLEAUS = {
             np.array([1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0]),
         ),
         b=np.array([1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0, 0.0]),
-        e=None,
+        e5=None,
+        e3=None,
+        a_extra=(),
+        d=None,
     ),
 }
 
-# PI controller exponents for an order-4 error estimate
-_PI_ALPHA = 0.7 / 5.0
-_PI_BETA = 0.4 / 5.0
+# PI controller exponents for an order-7 error estimate
+_PI_ALPHA = 0.7 / 8.0
+_PI_BETA = 0.4 / 8.0
+_PI_EXPONENTS = np.array([-_PI_ALPHA, _PI_BETA])
 _SAFETY = 0.9
+# the continuous extension's weight on its row j is x or 1 - x for even or
+# odd j, times its weight on row j - 1 (x: the fraction of the step)
+_EVEN_ROWS = np.arange(7) % 2 == 0
 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Integration settings shared by every flow in the package.
 
-    method is "rk45" (adaptive Dormand-Prince) or "rk4" (fixed step h0).
-    grad_tol is the field-norm threshold that counts as convergence.
+    method is "dop853" (adaptive Dormand-Prince 8(5,3)) or "rk4" (fixed
+    step h0). grad_tol is the field-norm threshold that counts as
+    convergence; record_stride records every that many steps.
     """
 
-    method: str = "rk45"
+    method: str = "dop853"
     rtol: float = 1e-10
     atol: float = 1e-12
     h0: float = 1e-3
@@ -105,7 +200,7 @@ class IntegratorConfig:
 
     def __post_init__(self):
         if self.method not in _TABLEAUS:
-            raise ValueError(f"unknown method {self.method!r}; use 'rk45' or 'rk4'")
+            raise ValueError(f"unknown method {self.method!r}; use 'dop853' or 'rk4'")
         for name in ("rtol", "atol", "h0", "t_max", "grad_tol"):
             value = getattr(self, name)
             if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
@@ -119,13 +214,18 @@ class IntegratorConfig:
 @dataclass
 class OdeResult:
     """Sampled solution: times, states (one row per sample), field norms at
-    the samples, why integration stopped, and the accepted step count."""
+    the samples, why integration stopped, the accepted step count, the
+    field evaluations, the rejected steps, and the steps accepted at the
+    minimum step size although their error estimate exceeded 1."""
 
     t: np.ndarray
     y: np.ndarray
     field_norm: np.ndarray
     stop_reason: str
     n_steps: int
+    nfev: int
+    n_rejected: int
+    n_forced: int
 
 
 def _finite(arr: np.ndarray) -> bool:
@@ -146,8 +246,12 @@ def solve_flow(
 
     field(y, out) writes the field at the (d,) state y into the (d,) array
     out. The first call sees the initial state; every later call gets the
-    solve's one stage-input buffer and one of its stage rows, the same
-    array objects each time.
+    solve's one stage-input buffer and either one of its stage rows or its
+    checkpoint buffer, the same array objects each time.
+
+    Every checkpoint in (0, t_max] that the run reaches is recorded, in time
+    order with the steps, together with the field norm there; stop_when is
+    asked at every recorded sample, so nothing past the stop is recorded.
     """
     y = np.array(y0, dtype=float).ravel()
     if not _finite(y):
@@ -155,8 +259,7 @@ def solve_flow(
 
     cps: list[float] = []
     if checkpoints is not None:
-        cps = [float(t) for t in checkpoints if 0.0 < float(t) <= cfg.t_max]
-        cps.sort()
+        cps = sorted({float(t) for t in checkpoints if 0.0 < float(t) <= cfg.t_max})
 
     ts: list[float] = []
     ys: list[np.ndarray] = []
@@ -166,26 +269,34 @@ def solve_flow(
         if ts and ts[-1] == t:
             return
         ts.append(t)
-        ys.append(state)  # never written to: every step makes a fresh state
+        ys.append(state)  # never written to: every step makes fresh states
         fns.append(fnorm)
 
-    def finish(reason: str, steps: int) -> OdeResult:
+    def finish(reason: str) -> OdeResult:
         return OdeResult(
             t=np.array(ts),
             y=np.array(ys),
             field_norm=np.array(fns),
             stop_reason=reason,
             n_steps=steps,
+            nfev=nfev,
+            n_rejected=rejected,
+            n_forced=forced,
         )
 
-    a_rows, b, e = _TABLEAUS[cfg.method]
-    stages = np.empty((len(b), y.size))
+    a_rows, b, e5, e3, a_extra, d = _TABLEAUS[cfg.method]
+    n_stages = len(b)  # the step's stages; the extension's extra stages follow
+    stages = np.empty((n_stages + len(a_extra), y.size))
     # views made once: at these sizes numpy's dispatch is the cost; ndarray.dot
-    # and math.sqrt below round exactly as matmul, np.linalg.norm and np.mean
-    prior = [stages[: i + 1] for i in range(len(a_rows))]
+    # and math.sqrt below round exactly as matmul and np.linalg.norm
+    prior = [stages[: i + 1] for i in range(len(stages) - 1)]
+    step_stages = stages[:n_stages]
     outs = list(stages)  # the field's output arrays, the same on every call
-    first, last = outs[0], outs[-1]
-    y_stage = np.empty_like(y)
+    first, last = outs[0], outs[n_stages - 1]
+    y_stage, cp_out = np.empty_like(y), np.empty_like(y)
+    ctrl = np.empty(2)
+    steps = rejected = forced = 0
+    nfev = 1
     # blowups are expected to overflow in the field; the finiteness checks
     # turn them into a clean stop instead of a warning cascade
     with np.errstate(over="ignore", invalid="ignore"):
@@ -193,80 +304,111 @@ def solve_flow(
         fnorm = math.sqrt(first.dot(first))
     record(0.0, y, fnorm)
     if not _finite(first):
-        return finish("non_finite", 0)
+        return finish("non_finite")
     if fnorm < cfg.grad_tol:
-        return finish("converged", 0)
+        return finish("converged")
     if stop_when is not None and stop_when(0.0, y):
-        return finish("stopped", 0)
+        return finish("stopped")
 
     t = 0.0
-    h = cfg.h0 if e is None else min(max(cfg.h0, _H_MIN), _H_MAX)
+    h = cfg.h0 if e5 is None else min(max(cfg.h0, _H_MIN), _H_MAX)
     err_prev = 1.0
-    steps = 0
     cp_idx = 0
 
     while True:
         if steps >= cfg.max_steps:
             record(t, y, fnorm)
-            return finish("max_steps", steps)
+            return finish("max_steps")
 
-        bound = cps[cp_idx] if cp_idx < len(cps) else cfg.t_max
-        landing = False
-        h_try = h
-        if t + h_try >= bound - 1e-14 * max(1.0, bound):
-            h_try = bound - t
-            landing = True
+        landing = t + h >= cfg.t_max - 1e-14 * max(1.0, cfg.t_max)
+        h_try = cfg.t_max - t if landing else h
 
         with np.errstate(over="ignore", invalid="ignore"):
             for i, row in enumerate(a_rows):
                 np.add(y, h_try * row.dot(prior[i]), out=y_stage)
                 field(y_stage, outs[i + 1])
-            y_new = y + h_try * b.dot(stages)
+            nfev += len(a_rows)
+            y_new = y + h_try * b.dot(step_stages)
             fnorm_new = math.sqrt(last.dot(last))
-            if e is None:
-                err = 0.0
-            else:
+            err = 0.0
+            if e5 is not None:
                 scale = cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(y_new))
-                scaled = h_try * e.dot(stages) / scale
-                err = math.sqrt(np.add.reduce(scaled * scaled) / y.size)
+                r5, r3 = e5.dot(step_stages) / scale, e3.dot(step_stages) / scale
+                # summed as the batched loop sums a row, not by ndarray.dot
+                n5 = np.add.reduce(r5 * r5)
+                denom = (n5 + 0.01 * np.add.reduce(r3 * r3)) * y.size
+                if denom:  # 0 only when both estimates are
+                    err = h_try * n5 / math.sqrt(denom)
 
         if not (_finite(y_new) and _finite(last)):
             record(t, y, fnorm)
-            return finish("non_finite", steps)
+            return finish("non_finite")
         if math.isnan(err):
             err = math.inf
 
+        if e5 is not None:
+            # np.power, not float **: it rounds as the batched loop's powers do
+            ctrl[0], ctrl[1] = max(err, 1e-10), err_prev
+            p_err, p_prev = np.power(ctrl, _PI_EXPONENTS, out=ctrl).tolist()
+
         if err <= 1.0 or h_try <= _H_MIN * 1.0000001:
             steps += 1
-            t = bound if landing else t + h_try
+            forced += err > 1.0
+            t_old, t = t, cfg.t_max if landing else t + h_try
+            end = bisect_left(cps, t, cp_idx)  # checkpoints inside the step
+            if end > cp_idx:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    for i, row in enumerate(a_extra, len(a_rows)):
+                        np.add(y, h_try * row.dot(prior[i]), out=y_stage)
+                        field(y_stage, outs[i + 1])
+                    nfev += len(a_extra)
+                    dy = y_new - y
+                    coef = np.array([dy, h_try * first - dy, 2.0 * dy - h_try * (last + first)])
+                    if d is not None:
+                        coef = np.vstack((coef, h_try * d.dot(stages)))
+                    x = (np.array(cps[cp_idx:end]) - t_old) / h_try
+                    weights = np.where(_EVEN_ROWS[: len(coef)], x[:, None], 1.0 - x[:, None]).cumprod(axis=1)
+                    dense = y + weights.dot(coef)
+                    for j, (t_cp, y_cp) in enumerate(zip(cps[cp_idx:end], dense)):
+                        finite = _finite(y_cp)
+                        if finite:
+                            y_stage[...] = y_cp
+                            field(y_stage, cp_out)
+                            nfev += 1
+                            finite = _finite(cp_out)
+                        if not finite:
+                            if j == 0:  # else the last checkpoint is the last finite sample
+                                record(t_old, y, fnorm)
+                            return finish("non_finite")
+                        record(t_cp, y_cp, math.sqrt(cp_out.dot(cp_out)))
+                        if stop_when is not None and stop_when(t_cp, y_cp):
+                            return finish("stopped")
             y = y_new
             first[...] = last  # first-same-as-last
             fnorm = fnorm_new
 
-            hit_cp = landing and cp_idx < len(cps) and bound == cps[cp_idx]
-            if hit_cp:
-                cp_idx += 1
-            if hit_cp or steps % cfg.record_stride == 0:
+            cp_at_end = end < len(cps) and cps[end] == t
+            cp_idx = end + cp_at_end
+            if cp_at_end or steps % cfg.record_stride == 0:
                 record(t, y, fnorm)
 
             if fnorm < cfg.grad_tol:
                 record(t, y, fnorm)
-                return finish("converged", steps)
-            if t >= cfg.t_max - 1e-14 * max(1.0, cfg.t_max):
+                return finish("converged")
+            if landing:
                 record(t, y, fnorm)
-                return finish("t_max", steps)
+                return finish("t_max")
             if stop_when is not None and stop_when(t, y):
                 record(t, y, fnorm)
-                return finish("stopped", steps)
+                return finish("stopped")
 
-            if e is not None:
-                err = max(err, 1e-10)
-                factor = _SAFETY * err ** (-_PI_ALPHA) * err_prev ** _PI_BETA
-                factor = min(5.0, max(0.2, factor))
+            if e5 is not None:
+                factor = min(5.0, max(0.2, _SAFETY * p_err * p_prev))
                 h = min(max(h * factor, _H_MIN), _H_MAX)
-                err_prev = err
+                err_prev = max(err, 1e-10)
         else:
-            factor = max(0.2, _SAFETY * err ** (-_PI_ALPHA))
+            rejected += 1
+            factor = max(0.2, _SAFETY * p_err)
             h = min(max(h_try * factor, _H_MIN), _H_MAX)
 
 
@@ -282,7 +424,7 @@ def solve_flow_batch(
     initial states, the field gets a stage-input buffer and the rows of a
     stage array, the same array objects from call to call until a row
     leaves the batch and they are made anew at the smaller size.
-    Each row keeps its own time, step size, controller state and step count,
+    Each row keeps its own time, step size, controller state and counts,
     and measures its error over its own entries, so it makes the accept and
     reject decisions that its solve_flow run makes as long as its error
     estimate sits well above rounding. The stage sums are taken over the
@@ -300,15 +442,24 @@ def solve_flow_batch(
     if not _finite(Y):
         raise ValueError("initial state contains non-finite entries")
 
-    a_rows, b, e = _TABLEAUS[cfg.method]
+    a_rows, b, e5, e3 = _TABLEAUS[cfg.method][:4]
     n_rows = len(Y)
     t = np.zeros(n_rows)
-    h = np.full(n_rows, cfg.h0 if e is None else min(max(cfg.h0, _H_MIN), _H_MAX))
+    h = np.full(n_rows, cfg.h0 if e5 is None else min(max(cfg.h0, _H_MIN), _H_MAX))
     err_prev = np.ones(n_rows)
-    steps = np.zeros(n_rows, dtype=int)
-    stages = np.empty((len(b),) + Y.shape)
-    # the field's arrays, made anew only when the batch shrinks
-    outs, Y_stage = list(stages), np.empty_like(Y)
+    steps, nfev, rejected, forced = (np.zeros(n_rows, dtype=int) for _ in range(4))
+    nfev += 1
+    # the stage array and stage-input buffer of every batch size are views of
+    # one block, so a shrinking batch allocates nothing; the field's arrays
+    # are made anew only when it shrinks
+    block = np.empty((len(b) + 1) * Y.size)
+
+    def buffers(n: int) -> tuple[np.ndarray, np.ndarray]:
+        arrays = block[: (len(b) + 1) * n * Y.shape[1]].reshape(len(b) + 1, n, Y.shape[1])
+        return arrays[:-1], arrays[-1]
+
+    stages, Y_stage = buffers(n_rows)
+    outs = list(stages)
     with np.errstate(over="ignore", invalid="ignore"):
         field(Y, outs[0])
         fnorm = np.linalg.norm(stages[0], axis=1)
@@ -323,6 +474,9 @@ def solve_flow_batch(
                 field_norm=fnorm[j : j + 1].copy(),
                 stop_reason=reason,
                 n_steps=int(steps[j]),
+                nfev=int(nfev[j]),
+                n_rejected=int(rejected[j]),
+                n_forced=int(forced[j]),
             )
 
     t_end = cfg.t_max - 1e-14 * max(1.0, cfg.t_max)
@@ -335,11 +489,13 @@ def solve_flow_batch(
     while True:
         if stopped.any():
             keep = ~stopped
-            rows, Y, t, h, err_prev, steps, fnorm = (
-                a[keep] for a in (rows, Y, t, h, err_prev, steps, fnorm)
+            rows, Y, t, h, err_prev, steps, nfev, rejected, forced, fnorm = (
+                a[keep] for a in (rows, Y, t, h, err_prev, steps, nfev, rejected, forced, fnorm)
             )
-            stages = np.ascontiguousarray(stages[:, keep])
-            outs, Y_stage = list(stages), np.empty_like(Y)
+            first = stages[0, keep]  # the next step's first stage, copied out
+            stages, Y_stage = buffers(rows.size)
+            stages[0] = first
+            outs = list(stages)
         if rows.size == 0:
             return results
 
@@ -351,16 +507,22 @@ def solve_flow_batch(
             for i, row in enumerate(a_rows):
                 np.add(Y, hcol * (row @ flat[: i + 1]).reshape(Y.shape), out=Y_stage)
                 field(Y_stage, outs[i + 1])
+            nfev += len(a_rows)
             Y_new = Y + hcol * (b @ flat).reshape(Y.shape)
             finite = np.isfinite(Y_new).all(axis=1) & np.isfinite(stages[-1]).all(axis=1)
-            if e is None:
+            if e5 is None:
                 accept = finite
             else:
-                err_vec = hcol * (e @ flat).reshape(Y.shape)
                 scale = cfg.atol + cfg.rtol * np.maximum(np.abs(Y), np.abs(Y_new))
-                err = np.sqrt(np.mean((err_vec / scale) ** 2, axis=1))
+                r5 = (e5 @ flat).reshape(Y.shape) / scale
+                r3 = (e3 @ flat).reshape(Y.shape) / scale
+                n5 = (r5 * r5).sum(axis=1)
+                denom = (n5 + 0.01 * (r3 * r3).sum(axis=1)) * Y.shape[1]
+                err = np.where(denom == 0.0, 0.0, h_try * n5 / np.sqrt(denom))
                 err[np.isnan(err)] = np.inf
                 accept = finite & ((err <= 1.0) | (h_try <= _H_MIN * 1.0000001))
+                forced += accept & (err > 1.0)
+                rejected += finite & ~accept
                 # fmax/fmin skip NaN the way the serial loop's max/min do; the
                 # floor also spares a zero error estimate a division by zero
                 err_acc = np.maximum(err, 1e-10)

@@ -158,8 +158,8 @@ def match_reduction(cost: ScalarCost, state0: ScalarPairState, cfg: IntegratorCo
     """Max |z_full(t) - z_reduced(t)| over a shared time grid.
 
     The full pair flow and the reduced flow with c = D(state0) are both
-    forced through the same checkpoint times, so the comparison needs no
-    interpolation.
+    sampled at the same checkpoint times, each by its own solver's
+    continuous extension, so the comparison needs no interpolation here.
     """
     grid = np.linspace(0.0, cfg.t_max, max(2, int(round(cfg.t_max / 0.01)) + 1))
     full = full_flow(state0, cost, cfg, checkpoints=grid)

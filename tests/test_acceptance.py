@@ -46,11 +46,19 @@ def report(num, ok, detail):
     assert ok, f"criterion {num:02d}: {detail}"
 
 
+# Samples the Dormand-Prince 5(4) pair recorded on each deep-battery flow, one
+# per step. DOP853 takes about a quarter as many steps, so the battery adds a
+# checkpoint grid that checks every flow at no fewer samples than these.
+DP54_SAMPLES = (327, 350, 278, 246, 210, 310, 174, 148, 688, 178, 330, 340, 402, 172, 282, 342, 300, 412, 157, 344)
+
+
 @pytest.fixture(scope="module")
 def deep_battery():
-    """20 seeded deep flows shared by criteria 1 through 3."""
+    """20 seeded deep flows shared by criteria 1 through 3, each sampled at
+    every step and every 0.02 time units."""
     rng = np.random.default_rng(2024)
     cfg = IntegratorConfig(rtol=1e-10, atol=1e-12, t_max=50.0, grad_tol=1e-8)
+    grid = np.linspace(0.0, cfg.t_max, 2501)
     start = time.perf_counter()
     max_drift = 0.0
     max_residual = 0.0
@@ -63,7 +71,8 @@ def deep_battery():
             k = n + int(rng.integers(0, 4))
             target = np.eye(n) + 0.3 * rng.standard_normal((n, n))
             stack0 = random_init(NetShape(n, k, depth), seed=100 + i, scale=0.5)
-            traj = integrate(stack0, QuadraticMatrixCost(target), cfg)
+            traj = integrate(stack0, QuadraticMatrixCost(target), cfg, checkpoints=grid)
+            assert len(traj.t) >= DP54_SAMPLES[i], f"deep flow {i} checked at {len(traj.t)} samples"
             max_drift = max(max_drift, drift(traj))
             inv0 = invariants(traj.samples[0].stack)
             for sample in traj.samples:

@@ -16,7 +16,7 @@ from ovflow.flow import read_trajectory_csv
 TARGET = [[2.0, 0.3], [-0.1, 1.0]]
 
 INTEGRATOR = {
-    "method": "rk45",
+    "method": "dop853",
     "rtol": 1e-10,
     "atol": 1e-12,
     "h0": 1e-3,
@@ -118,6 +118,13 @@ def test_missing_integrator_key_is_a_usage_error(tmp_path):
     del broken["grad_tol"]
     cfg = write_config(tmp_path, integrator=broken)
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
+
+
+def test_the_retired_rk45_method_is_a_usage_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, integrator=dict(INTEGRATOR, method="rk45"))
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert "unknown method 'rk45'; use 'dop853'" in err and "Traceback" not in err
 
 
 def test_missing_config_file(tmp_path):

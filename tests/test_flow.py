@@ -1,5 +1,8 @@
 """End-to-end dynamics: the factored flow, its baseline, and trajectory I/O."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -25,7 +28,7 @@ from ovflow.linnet import (
     product,
     random_init,
 )
-from ovflow.odeint import IntegratorConfig, solve_flow, solve_flow_batch
+from ovflow.odeint import _TABLEAUS, IntegratorConfig, solve_flow, solve_flow_batch
 from ovflow.scalarcase import anti_balanced, to_stack
 
 COST = QuadraticMatrixCost(np.array([[2.0, 0.3], [-0.1, 1.0]]))
@@ -37,7 +40,7 @@ def test_baseline_matches_closed_form():
     cfg = IntegratorConfig(rtol=1e-10, atol=1e-12, t_max=5.0, grad_tol=1e-14)
     traj = integrate_baseline(W0, COST, cfg, checkpoints=[1.0, 2.5])
     times = [s.t for s in traj.samples]
-    assert 1.0 in times and 2.5 in times  # checkpoints land exactly
+    assert 1.0 in times and 2.5 in times  # checkpoints are recorded exactly
     for s in traj.samples:
         want = COST.target + (W0 - COST.target) * np.exp(-s.t)
         assert np.abs(s.stack.layers[0] - want).max() < 1e-9
@@ -81,7 +84,7 @@ def test_tighter_tolerance_means_smaller_drift():
 
 def test_rk4_agrees_with_adaptive_method():
     W0 = np.array([[0.5, 0.0], [0.0, 0.25]])
-    adaptive = IntegratorConfig(method="rk45", rtol=1e-10, atol=1e-12, t_max=5.0, grad_tol=1e-14)
+    adaptive = IntegratorConfig(method="dop853", rtol=1e-10, atol=1e-12, t_max=5.0, grad_tol=1e-14)
     fixed = IntegratorConfig(method="rk4", h0=1e-3, t_max=5.0, grad_tol=1e-14)
     a = integrate_baseline(W0, COST, adaptive)
     b = integrate_baseline(W0, COST, fixed)
@@ -127,7 +130,7 @@ def test_detect_convergence_labels():
 SWEEP_CFG = IntegratorConfig(rtol=1e-8, atol=1e-10, t_max=50.0)
 # a short horizon and a small step budget end the rows of one batch on
 # different stop reasons, so rows leave the active set at different steps
-MIXED_STOPS_CFG = IntegratorConfig(rtol=1e-8, atol=1e-10, t_max=11.0, max_steps=115)
+MIXED_STOPS_CFG = IntegratorConfig(rtol=1e-8, atol=1e-10, t_max=11.0, max_steps=45)
 SWEEP_CASES = {
     "depth2": (NetShape(2, 3, 2), COST, SWEEP_CFG),
     "depth3": (NetShape(2, 3, 3), COST, SWEEP_CFG),
@@ -169,7 +172,7 @@ def test_integrate_batch_checks_its_stacks():
 
 
 def test_sweep_labels_diverging_runs_undecided():
-    _check_diverging_runs_undecided("rk45")
+    _check_diverging_runs_undecided("dop853")
 
 
 def test_sweep_labels_diverging_runs_undecided_under_rk4():
@@ -191,7 +194,7 @@ def _check_diverging_runs_undecided(method):
 
 
 BATCH_CASES = {
-    "rk45": (MIXED_STOPS_CFG, {"converged", "t_max", "max_steps"}),
+    "dop853": (MIXED_STOPS_CFG, {"converged", "t_max", "max_steps"}),
     # a fixed step brings every row to t_max after the same number of steps,
     # so only convergence can end a row earlier
     "rk4": (IntegratorConfig(method="rk4", h0=0.05, t_max=7.98, grad_tol=1e-6), {"converged", "t_max"}),
@@ -199,7 +202,7 @@ BATCH_CASES = {
 
 
 def test_batch_rows_step_like_serial_solves():
-    _check_batch_rows_step_like_serial_solves("rk45")
+    _check_batch_rows_step_like_serial_solves("dop853")
 
 
 def test_batch_rows_step_like_serial_solves_under_rk4():
@@ -423,7 +426,7 @@ def test_solver_stop_reasons():
     assert slow.t[-1] == 2.0
 
 
-@pytest.mark.parametrize("method", ["rk45", "rk4"])
+@pytest.mark.parametrize("method", ["dop853", "rk4"])
 def test_field_norm_is_the_norm_of_the_field_at_every_sample(method):
     shape = NetShape(n=2, k=3, depth=3)
     field = flow_field(shape, COST)
@@ -458,3 +461,137 @@ def test_checkpoints_are_recorded_exactly():
         assert cp in res.t.tolist()
     idx = res.t.tolist().index(1.0)
     assert res.y[idx, 0] == pytest.approx(np.exp(-1.0), abs=1e-10)
+
+
+def test_checkpoints_do_not_change_the_steps():
+    shape = NetShape(2, 3, 3)
+    field = flow_field(shape, COST)
+    y0 = pack(random_init(shape, seed=4, scale=0.5).layers)
+    cfg = IntegratorConfig(t_max=10.0, grad_tol=1e-12)
+    cps = np.linspace(0.0, cfg.t_max, 1001)
+    plain = solve_flow(field, y0, cfg)
+    dense = solve_flow(field, y0, cfg, checkpoints=cps)
+    assert plain.stop_reason == dense.stop_reason == "t_max"
+    assert dense.n_steps == plain.n_steps
+    assert set(cps.tolist()) <= set(dense.t.tolist())
+    at_steps = np.searchsorted(dense.t, plain.t)
+    assert dense.t[at_steps].tobytes() == plain.t.tobytes()
+    assert dense.y[at_steps].tobytes() == plain.y.tobytes()
+    assert np.all(np.diff(dense.t) > 0)
+
+
+@pytest.mark.parametrize("method", ["dop853", "rk4"])
+def test_checkpoints_sample_the_continuous_extension(method):
+    # off the rk4 step grid, so the cubic Hermite interpolant is what is read
+    cps = np.linspace(0.0123, 5.0, 200)
+    cfg = IntegratorConfig(method=method, h0=0.005, t_max=5.0, grad_tol=1e-14)
+    res = solve_flow(_decay, np.array([1.0]), cfg, checkpoints=cps)
+    at_cps = np.searchsorted(res.t, cps)
+    assert res.t[at_cps].tobytes() == cps.tobytes()
+    assert np.abs(res.y[at_cps, 0] - np.exp(-cps)).max() < 1e-9
+    assert res.field_norm[at_cps].tobytes() == np.abs(res.y[at_cps, 0]).tobytes()
+
+
+@pytest.mark.parametrize("method, value", [("dop853", 1e306), ("rk4", 1e308)])
+def test_an_overflowing_interpolant_stops_the_run(method, value):
+    # the step's ends are finite, but the extension's terms overflow between them
+    cfg = IntegratorConfig(method=method, h0=1.0, t_max=1.0)
+    res = solve_flow(lambda y, out: out.fill(value), np.array([0.0]), cfg, checkpoints=[0.5])
+    assert res.stop_reason == "non_finite"
+    assert res.t.tolist() == [0.0] and res.y.tolist() == [[0.0]]
+    plain = solve_flow(lambda y, out: out.fill(value), np.array([0.0]), cfg)
+    assert plain.stop_reason == "t_max" and np.isfinite(plain.y).all()
+
+
+def test_stop_when_is_asked_at_every_checkpoint():
+    cps = np.linspace(0.01, 2.0, 200)
+    res = solve_flow(lambda y, out: np.copyto(out, y), np.array([1.0]),
+                     IntegratorConfig(t_max=2.0, grad_tol=1e-12), checkpoints=cps,
+                     stop_when=lambda t, y: float(y[0]) > 2.0)
+    assert res.stop_reason == "stopped"
+    assert res.y[-1, 0] > 2.0 and np.all(res.y[:-1, 0] <= 2.0)
+    assert res.t[-1] == cps[np.searchsorted(cps, np.log(2.0))]
+
+
+@pytest.mark.parametrize("method", ["dop853", "rk4"])
+def test_nfev_counts_every_field_evaluation(method):
+    shape = NetShape(2, 3, 2)
+    field = flow_field(shape, COST)
+    evaluated = []  # rows per call
+
+    def counting(y, out):
+        evaluated.append(len(y) if y.ndim == 2 else 1)
+        field(y, out)
+
+    cfg = IntegratorConfig(method=method, h0=0.05, rtol=1e-8, atol=1e-10, t_max=8.0, grad_tol=1e-6)
+    Y0 = np.stack([pack(random_init(shape, seed=s, scale=0.5).layers) for s in range(6)])
+    serial = []
+    for y0 in Y0:
+        for cps in (None, np.linspace(0.0, cfg.t_max, 301)):
+            evaluated.clear()
+            res = solve_flow(counting, y0, cfg, checkpoints=cps)
+            assert res.nfev == len(evaluated)
+        serial.append(res)
+    evaluated.clear()
+    batch = solve_flow_batch(counting, Y0, cfg)
+    assert sum(r.nfev for r in batch) == sum(evaluated)
+    for got, want in zip(batch, serial):
+        assert (got.n_steps, got.n_rejected) == (want.n_steps, want.n_rejected)
+        assert got.nfev == 1 + len(_TABLEAUS[method].a) * (got.n_steps + got.n_rejected)
+
+
+def test_steps_forced_at_the_minimum_step_are_counted():
+    # no step meets an error bound this far below rounding, so the step size
+    # falls to its floor and steps are accepted there regardless
+    cfg = IntegratorConfig(rtol=1e-30, atol=1e-30, t_max=1.0, max_steps=3)
+    serial = solve_flow(_decay, np.array([1.0]), cfg)
+    batch = solve_flow_batch(_decay, np.array([[1.0], [0.5]]), cfg)
+    for res in [serial] + batch:
+        assert res.stop_reason == "max_steps"
+        assert res.n_forced > 0 and res.n_rejected > 0
+    calm = solve_flow(_decay, np.array([1.0]), IntegratorConfig(t_max=1.0))
+    assert (calm.n_forced, calm.n_rejected) == (0, 0)
+
+
+def test_a_solve_binds_each_of_its_arrays_once(monkeypatch):
+    import ovflow.linnet as linnet
+
+    bound = []  # holds every bound array, so no two can share an id
+    unpacker = linnet.unpacker
+
+    def counting_unpacker(shape):
+        unpack = unpacker(shape)
+
+        def counted(arr):
+            bound.append(arr)
+            return unpack(arr)
+
+        return counted
+
+    monkeypatch.setattr(linnet, "unpacker", counting_unpacker)
+    shape = NetShape(2, 3, 2)
+    Y0 = np.stack([pack(random_init(shape, seed=s, scale=0.5).layers) for s in range(12)])
+    # y0, the stage-input buffer, 16 stage rows and the checkpoint buffer
+    solve_flow(linnet.flow_field(shape, COST), Y0[0], MIXED_STOPS_CFG, checkpoints=np.linspace(0, 11, 111))
+    assert len(bound) == len({id(arr) for arr in bound}) == 19
+    bound.clear()
+    # rows leave at different steps, and each shrink brings 13 new arrays
+    solve_flow_batch(linnet.flow_field(shape, COST), Y0, MIXED_STOPS_CFG)
+    assert len(bound) == len({id(arr) for arr in bound}) > 15
+    assert (len(bound) - 15) % 13 == 0
+
+
+def test_dop853_coefficients_are_hairers():
+    # scipy ships the same pair; it is read here only, never by the package
+    coef = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+    tab = _TABLEAUS["dop853"]
+    for i, row in enumerate(tab.a + tab.a_extra, start=1):
+        assert row.tobytes() == coef.A[i, :i].tobytes(), f"stage row {i}"
+    assert tab.b.tobytes() == np.append(coef.B, 0.0).tobytes()
+    for got, want in ((tab.e5, coef.E5), (tab.e3, coef.E3), (tab.d, coef.D)):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_the_package_does_not_import_scipy():
+    code = "import sys, ovflow.cli, ovflow.flow; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0

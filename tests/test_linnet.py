@@ -299,4 +299,4 @@ def test_flow_field_keeps_few_fresh_arrays_alive():
         refs += [weakref.ref(y), weakref.ref(out)]
         del y, out
     alive = sum(ref() is not None for ref in refs)
-    assert alive <= 16  # the binding is cleared past 16 arrays
+    assert alive <= 24  # the binding keeps at most 24 arrays
