@@ -59,7 +59,9 @@ class Trajectory:
     """A recorded flow as read-only arrays, one row per sample: t (S,), flat
     states y (S, d), cost (S,) and ||grad g||_F (S,). As the integrators
     build it, each array is a view of a read-only owner, so numpy refuses to
-    make it writeable again.
+    make it writeable again. The solver's counts come with it: accepted
+    steps, field evaluations, rejected steps, and steps forced at the
+    minimum step size (see ``odeint.OdeResult``).
 
     ``samples`` and ``final`` present those rows as FlowSamples, built when
     first read. Their stacks are not copies: each layer is a read-only view
@@ -74,6 +76,10 @@ class Trajectory:
     shape: NetShape
     stop_reason: str
     config: IntegratorConfig
+    n_steps: int
+    nfev: int
+    n_rejected: int
+    n_forced: int
 
     def layers(self) -> list[np.ndarray]:
         """W_1, ..., W_N at every sample, as (S, rows, cols) views of y."""
@@ -127,7 +133,8 @@ def _as_trajectory(result, shape: NetShape, cost: MatrixCost, cfg: IntegratorCon
     with np.errstate(over="ignore", invalid="ignore"):
         values = np.array([cost.value(w) for w in product(unpacker(shape)(result.y))])
     t, y, values, grad_norm = map(_locked, (result.t, result.y, values, result.field_norm))
-    return Trajectory(t, y, values, grad_norm, shape, result.stop_reason, cfg)
+    counts = result.n_steps, result.nfev, result.n_rejected, result.n_forced
+    return Trajectory(t, y, values, grad_norm, shape, result.stop_reason, cfg, *counts)
 
 
 def integrate(

@@ -12,12 +12,16 @@ g(W_1, ..., W_N) = f(W_N ... W_1), namely
 
     grad_i = (W_N ... W_{i+1})^T  grad f(W)  (W_{i-1} ... W_1)^T
 
-with empty products read as identity.
+with empty products read as identity. It is one backward chain: the
+prefixes W_i ... W_1 up to W, then, from grad f(W), each layer's gradient
+and the next factor (W_N ... W_i)^T grad f(W), layer N down to layer 1, in
+3N - 3 small matrix products.
 """
 
 from __future__ import annotations
 
 import csv
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -148,13 +152,20 @@ def product(layers: Sequence[np.ndarray]) -> np.ndarray:
     return np.array(out)
 
 
+# C-level transposes: a matrix's .T, and a stack's last two axes swapped
+_TRANSPOSE = operator.attrgetter("T")
+_SWAP_LAST = operator.methodcaller("swapaxes", -1, -2)
+
+
 def layer_gradients(
     layers: Sequence[np.ndarray], cost, out: Optional[Sequence[np.ndarray]] = None
 ) -> list[np.ndarray]:
     """Per-layer gradients of g = f(product) at the layers W_1, ..., W_N.
 
-    Prefix and suffix partial products are accumulated once, so the whole
-    gradient costs O(N) small matrix multiplies. Each layer may also be a
+    One backward chain, 3N - 3 small matrix products in all: the prefixes
+    P_i = W_i ... W_1 up to P_N = W (N - 1 products), then, from
+    back = grad f(W) and for i = N, ..., 2, grad_i = back P_{i-1}^T and
+    back = W_i^T back; grad_1 is the last back. Each layer may also be a
     stack of shape (B, rows, cols), one matrix per flow of a batch; the
     gradients then come back stacked the same way. Given ``out``, one
     C-contiguous array per layer, the gradients are written into it and it
@@ -163,8 +174,9 @@ def layer_gradients(
     The matrices are tiny, so a product's cost is numpy's dispatch, not its
     flops: 2-D layers take ``ndarray.dot``, which has about half the
     overhead of ``matmul`` and gives the same bits (the tests check that a
-    row of a batch matches its own evaluation). Stacks need ``matmul``,
-    because ``dot`` on 3-D arrays is not a batched product.
+    row of a batch matches its own evaluation), and ``.T``. Stacks need
+    ``matmul``, because ``dot`` on 3-D arrays is not a batched product, and
+    ``swapaxes``.
     """
     depth = len(layers)
     if depth == 1:
@@ -176,20 +188,19 @@ def layer_gradients(
 
     if out is None:
         out = [None] * depth
-    mul = np.ndarray.dot if layers[0].ndim == 2 else np.matmul
+    if layers[0].ndim == 2:
+        mul, flip = np.ndarray.dot, _TRANSPOSE
+    else:
+        mul, flip = np.matmul, _SWAP_LAST
     prefix = [layers[0]]  # prefix[i] = W_{i+1} ... W_1
-    for layer in layers[1:-1]:
+    for layer in layers[1:]:
         prefix.append(mul(layer, prefix[-1]))
-    suffix = [layers[-1]]  # suffix[j] holds W_N ... W_{N-j}
-    for layer in layers[-2:0:-1]:
-        suffix.append(mul(suffix[-1], layer))
-    suffix.reverse()  # suffix[i] = W_N ... W_{i+2}
-
-    grad_f = cost.gradient(mul(suffix[0], layers[0]))
-    grads = [mul(suffix[0].swapaxes(-1, -2), grad_f, out=out[0])]
-    for i in range(1, depth - 1):
-        grads.append(mul(mul(suffix[i].swapaxes(-1, -2), grad_f), prefix[i - 1].swapaxes(-1, -2), out=out[i]))
-    grads.append(mul(grad_f, prefix[depth - 2].swapaxes(-1, -2), out=out[-1]))
+    back = cost.gradient(prefix.pop())
+    grads = list(out)
+    for i in range(depth - 1, 0, -1):
+        grads[i] = mul(back, flip(prefix[i - 1]), out=out[i])
+        back = mul(flip(layers[i]), back, out=out[0] if i == 1 else None)
+    grads[0] = back
     return grads
 
 

@@ -3,8 +3,8 @@
 Every method is an explicit tableau in first-same-as-last form: its last
 stage row gives the new state, so the last stage is the field there and
 opens the next step. Two tableaus are provided: Dormand and Prince's 8(5,3)
-pair, DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.10), with a
-proportional-integral step controller (the default), and classical RK4,
+pair, DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.10), under
+its own step-size control (the default), and classical RK4,
 which has no error rows, so every finite step is accepted at the fixed step
 h0. The state is a flat float vector; callers pack and unpack their own
 structures. ``solve_flow`` runs one flow with checkpoints, recording and a
@@ -170,10 +170,9 @@ _TABLEAUS = {
     ),
 }
 
-# PI controller exponents for an order-7 error estimate
-_PI_ALPHA = 0.7 / 8.0
-_PI_BETA = 0.4 / 8.0
-_PI_EXPONENTS = np.array([-_PI_ALPHA, _PI_BETA])
+# DOP853's own step control: the error's power for an order-7 estimate,
+# and the safety factor (Hairer, Norsett & Wanner, sec. II.4)
+_ERR_EXPONENT = -1.0 / 8.0
 _SAFETY = 0.9
 # the continuous extension's weight on its row j is x or 1 - x for even or
 # odd j, times its weight on row j - 1 (x: the fraction of the step)
@@ -294,7 +293,7 @@ def solve_flow(
     outs = list(stages)  # the field's output arrays, the same on every call
     first, last = outs[0], outs[n_stages - 1]
     y_stage, cp_out = np.empty_like(y), np.empty_like(y)
-    ctrl = np.empty(2)
+    ctrl = np.empty(1)
     steps = rejected = forced = 0
     nfev = 1
     # blowups are expected to overflow in the field; the finiteness checks
@@ -312,7 +311,7 @@ def solve_flow(
 
     t = 0.0
     h = cfg.h0 if e5 is None else min(max(cfg.h0, _H_MIN), _H_MAX)
-    err_prev = 1.0
+    retry = False  # the last try was rejected
     cp_idx = 0
 
     while True:
@@ -348,12 +347,12 @@ def solve_flow(
 
         if e5 is not None:
             # np.power, not float **: it rounds as the batched loop's powers do
-            ctrl[0], ctrl[1] = max(err, 1e-10), err_prev
-            p_err, p_prev = np.power(ctrl, _PI_EXPONENTS, out=ctrl).tolist()
+            ctrl[0] = max(err, 1e-10)
+            p_err = np.power(ctrl, _ERR_EXPONENT, out=ctrl).item()
 
         if err <= 1.0 or h_try <= _H_MIN * 1.0000001:
             steps += 1
-            forced += err > 1.0
+            forced += int(err > 1.0)
             t_old, t = t, cfg.t_max if landing else t + h_try
             end = bisect_left(cps, t, cp_idx)  # checkpoints inside the step
             if end > cp_idx:
@@ -403,13 +402,15 @@ def solve_flow(
                 return finish("stopped")
 
             if e5 is not None:
-                factor = min(5.0, max(0.2, _SAFETY * p_err * p_prev))
+                # a step right after a rejected try may not grow
+                factor = min(1.0 if retry else 5.0, max(0.2, _SAFETY * p_err))
                 h = min(max(h * factor, _H_MIN), _H_MAX)
-                err_prev = max(err, 1e-10)
+                retry = False
         else:
             rejected += 1
             factor = max(0.2, _SAFETY * p_err)
             h = min(max(h_try * factor, _H_MIN), _H_MAX)
+            retry = True
 
 
 def solve_flow_batch(
@@ -446,7 +447,7 @@ def solve_flow_batch(
     n_rows = len(Y)
     t = np.zeros(n_rows)
     h = np.full(n_rows, cfg.h0 if e5 is None else min(max(cfg.h0, _H_MIN), _H_MAX))
-    err_prev = np.ones(n_rows)
+    retry = np.zeros(n_rows, dtype=bool)  # a row's last try was rejected
     steps, nfev, rejected, forced = (np.zeros(n_rows, dtype=int) for _ in range(4))
     nfev += 1
     # the stage array and stage-input buffer of every batch size are views of
@@ -489,8 +490,8 @@ def solve_flow_batch(
     while True:
         if stopped.any():
             keep = ~stopped
-            rows, Y, t, h, err_prev, steps, nfev, rejected, forced, fnorm = (
-                a[keep] for a in (rows, Y, t, h, err_prev, steps, nfev, rejected, forced, fnorm)
+            rows, Y, t, h, retry, steps, nfev, rejected, forced, fnorm = (
+                a[keep] for a in (rows, Y, t, h, retry, steps, nfev, rejected, forced, fnorm)
             )
             first = stages[0, keep]  # the next step's first stage, copied out
             stages, Y_stage = buffers(rows.size)
@@ -525,11 +526,10 @@ def solve_flow_batch(
                 rejected += finite & ~accept
                 # fmax/fmin skip NaN the way the serial loop's max/min do; the
                 # floor also spares a zero error estimate a division by zero
-                err_acc = np.maximum(err, 1e-10)
-                grow = np.fmin(5.0, np.fmax(0.2, _SAFETY * err_acc ** (-_PI_ALPHA) * err_prev ** _PI_BETA))
-                shrink = np.fmax(0.2, _SAFETY * err_acc ** (-_PI_ALPHA))
-                h = np.where(accept, h * grow, h_try * shrink).clip(_H_MIN, _H_MAX)
-                err_prev = np.where(accept, err_acc, err_prev)
+                factor = np.fmax(0.2, _SAFETY * np.maximum(err, 1e-10) ** _ERR_EXPONENT)
+                grow = np.fmin(np.where(retry, 1.0, 5.0), factor)
+                h = np.where(accept, h * grow, h_try * factor).clip(_H_MIN, _H_MAX)
+                retry = ~accept
 
         steps += accept
         t = np.where(accept, np.where(landing, cfg.t_max, t + h_try), t)

@@ -130,7 +130,7 @@ def test_detect_convergence_labels():
 SWEEP_CFG = IntegratorConfig(rtol=1e-8, atol=1e-10, t_max=50.0)
 # a short horizon and a small step budget end the rows of one batch on
 # different stop reasons, so rows leave the active set at different steps
-MIXED_STOPS_CFG = IntegratorConfig(rtol=1e-8, atol=1e-10, t_max=11.0, max_steps=45)
+MIXED_STOPS_CFG = IntegratorConfig(rtol=1e-8, atol=1e-10, t_max=11.0, max_steps=30)
 SWEEP_CASES = {
     "depth2": (NetShape(2, 3, 2), COST, SWEEP_CFG),
     "depth3": (NetShape(2, 3, 3), COST, SWEEP_CFG),
@@ -321,7 +321,7 @@ def test_samples_of_a_non_finite_recording_are_refused():
     shape = NetShape(1, 2, 2)
     y = np.ones((3, 4))
     y[1, 2] = np.nan
-    traj = Trajectory(np.arange(3.0), y, np.zeros(3), np.zeros(3), shape, "t_max", IntegratorConfig())
+    traj = Trajectory(np.arange(3.0), y, np.zeros(3), np.zeros(3), shape, "t_max", IntegratorConfig(), 2, 25, 0, 0)
     with pytest.raises(ValueError, match="non-finite"):
         traj.samples
     assert traj.final.t == 2.0  # the last row is finite
@@ -579,6 +579,46 @@ def test_a_solve_binds_each_of_its_arrays_once(monkeypatch):
     solve_flow_batch(linnet.flow_field(shape, COST), Y0, MIXED_STOPS_CFG)
     assert len(bound) == len({id(arr) for arr in bound}) > 15
     assert (len(bound) - 15) % 13 == 0
+
+
+def _decay_to_ten():
+    cfg = IntegratorConfig(rtol=1e-10, atol=1e-12, h0=1e-3, t_max=10.0)
+    return solve_flow(_decay, np.array([1.0, 2.0]), cfg)
+
+
+def test_dop853_steps_under_its_own_step_control():
+    # 0.9 err^(-1/8) aims each step at err = 0.9^8, about 0.43; a controller
+    # aiming lower takes more, shorter steps (scipy's DOP853 takes 32 here)
+    res = _decay_to_ten()
+    assert res.stop_reason == "t_max"
+    assert res.n_steps <= 34
+
+
+def test_dop853_steps_like_scipys():
+    scipy_integrate = pytest.importorskip("scipy.integrate")
+    res = _decay_to_ten()
+    ref = scipy_integrate.solve_ivp(lambda t, y: -y, (0.0, 10.0), [1.0, 2.0], method="DOP853",
+                                    rtol=1e-10, atol=1e-12, first_step=1e-3)
+    assert ref.success
+    assert abs(res.n_steps - (len(ref.t) - 1)) <= 2
+
+
+def test_trajectories_carry_the_solver_counts():
+    shape = NetShape(2, 3, 2)
+    cfg = IntegratorConfig(rtol=1e-8, atol=1e-10, t_max=11.0)
+    stacks = [random_init(shape, seed=s, scale=0.5) for s in range(4)]
+    cps = np.linspace(0.0, cfg.t_max, 23)
+    batch = integrate_batch(stacks, COST, cfg)
+    for stack, row in zip(stacks, batch):
+        traj = integrate(stack, COST, cfg, checkpoints=cps)
+        res = solve_flow(flow_field(shape, COST), pack(stack.layers), cfg, checkpoints=cps)
+        counts = (res.n_steps, res.nfev, res.n_rejected, res.n_forced)
+        assert (traj.n_steps, traj.nfev, traj.n_rejected, traj.n_forced) == counts
+        plain = solve_flow(flow_field(shape, COST), pack(stack.layers), cfg)  # a batch has no checkpoints
+        assert (row.n_steps, row.nfev, row.n_rejected, row.n_forced) == (
+            plain.n_steps, plain.nfev, plain.n_rejected, plain.n_forced)
+        assert type(traj.n_forced) is type(row.n_forced) is int
+    assert sum(traj.n_rejected for traj in batch) > 0
 
 
 def test_dop853_coefficients_are_hairers():

@@ -86,7 +86,7 @@ def test_depth_one_product_is_the_layer():
 def test_layer_gradients_match_fd_fixed_cases():
     cost = QuadraticMatrixCost(np.array([[2.0, -1.0], [0.5, 1.0]]))
     rng = np.random.default_rng(7)
-    for depth in (1, 2, 3, 4):
+    for depth in range(1, 7):
         shape = NetShape(n=2, k=2 if depth == 1 else 4, depth=depth)
         layers = [rng.normal(0.0, 0.6, s) for s in layer_shapes(shape)]
         stack = LayerStack.from_layers(layers)
@@ -98,7 +98,7 @@ def test_layer_gradients_match_fd_fixed_cases():
 
 @settings(max_examples=25, deadline=None)
 @given(
-    depth=st.integers(2, 4),
+    depth=st.integers(2, 6),
     n=st.integers(1, 3),
     extra=st.integers(1, 3),
     seed=st.integers(0, 10_000),
@@ -227,7 +227,7 @@ def test_flow_field_rows_match_the_batch_bit_for_bit():
     # product routines; every row must still round exactly as the batch does
     rng = np.random.default_rng(8)
     scalar = parse_scalar_cost("w^4 - 3 * w^2 + w").as_matrix()
-    for depth in range(1, 5):
+    for depth in range(1, 6):
         for n in range(1, 4):
             for k in [n] if depth == 1 else range(n, n + 4):
                 with warnings.catch_warnings():
@@ -245,11 +245,11 @@ def test_flow_field_rows_match_the_batch_bit_for_bit():
 
 
 def _every_shape():
-    """Every depth 1-4, n 1-3, k n..n+3 shape (depth 1 only has k = n)."""
+    """Every depth 1-5, n 1-3, k n..n+3 shape (depth 1 only has k = n)."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateWidthWarning)
         return [NetShape(n=n, k=k, depth=depth)
-                for depth in range(1, 5) for n in range(1, 4) for k in ([n] if depth == 1 else range(n, n + 4))]
+                for depth in range(1, 6) for n in range(1, 4) for k in ([n] if depth == 1 else range(n, n + 4))]
 
 
 def test_flow_field_writes_the_packed_field_bit_for_bit():
