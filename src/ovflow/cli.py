@@ -11,11 +11,11 @@ or I/O failure, 3 an experiment ran but failed its own assertion.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -66,7 +66,7 @@ class _ArgumentParser(argparse.ArgumentParser):
 # config files
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RunConfig:
     cost: object  # QuadraticMatrixCost or ScalarMatrixCost
     scalar: Optional[ScalarCost]  # None for a matrix cost
@@ -99,6 +99,21 @@ def _as_real(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise UsageError(f"{where} must be a number, got {value!r}")
     return float(value)
+
+
+_READERS = {"int": _as_int, "float": _as_real, "str": lambda value, where: str(value)}
+
+
+def _section(raw, cls, where: str, bad: str):
+    """Build the dataclass cls from the config section raw: its keys are
+    cls's fields, each read by the reader its annotation names."""
+    fields = dataclasses.fields(cls)
+    _check_keys(raw, where, tuple(f.name for f in fields))
+    values = {f.name: _READERS[f.type](raw[f.name], f"{where}.{f.name}") for f in fields}
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise UsageError(f"{bad}: {exc}") from exc
 
 
 def load_config(path: str) -> RunConfig:
@@ -137,16 +152,7 @@ def load_config(path: str) -> RunConfig:
     else:
         raise UsageError(f"unknown cost kind {kind!r}")
 
-    net_raw = raw["net"]
-    _check_keys(net_raw, "config.net", ("n", "k", "depth"))
-    try:
-        net = NetShape(
-            n=_as_int(net_raw["n"], "config.net.n"),
-            k=_as_int(net_raw["k"], "config.net.k"),
-            depth=_as_int(net_raw["depth"], "config.net.depth"),
-        )
-    except ValueError as exc:
-        raise UsageError(f"bad net shape: {exc}") from exc
+    net = _section(raw["net"], NetShape, "config.net", "bad net shape")
     if net.n != cost.n:
         raise UsageError(f"net n={net.n} does not match cost dimension n={cost.n}")
     if net.depth < 2:
@@ -168,25 +174,7 @@ def load_config(path: str) -> RunConfig:
         if scalar is None or net.n != 1 or net.depth != 2:
             raise UsageError("init mode anti_balanced needs a scalar cost with n=1, depth=2")
 
-    integ_raw = raw["integrator"]
-    _check_keys(
-        integ_raw,
-        "config.integrator",
-        ("method", "rtol", "atol", "h0", "t_max", "grad_tol", "max_steps", "record_stride"),
-    )
-    try:
-        integrator = IntegratorConfig(
-            method=str(integ_raw["method"]),
-            rtol=_as_real(integ_raw["rtol"], "config.integrator.rtol"),
-            atol=_as_real(integ_raw["atol"], "config.integrator.atol"),
-            h0=_as_real(integ_raw["h0"], "config.integrator.h0"),
-            t_max=_as_real(integ_raw["t_max"], "config.integrator.t_max"),
-            grad_tol=_as_real(integ_raw["grad_tol"], "config.integrator.grad_tol"),
-            max_steps=_as_int(integ_raw["max_steps"], "config.integrator.max_steps"),
-            record_stride=_as_int(integ_raw["record_stride"], "config.integrator.record_stride"),
-        )
-    except ValueError as exc:
-        raise UsageError(f"bad integrator settings: {exc}") from exc
+    integrator = _section(raw["integrator"], IntegratorConfig, "config.integrator", "bad integrator settings")
 
     return RunConfig(
         cost=cost,
@@ -439,6 +427,8 @@ def _parse_bounds(text: str) -> tuple[float, float, float, float]:
         lo1, hi1, lo2, hi2 = (float(p) for p in pieces)
     except ValueError as exc:
         raise UsageError(f"bad bounds {text!r}") from exc
+    if not all(map(math.isfinite, (lo1, hi1, lo2, hi2))):
+        raise UsageError(f"bounds must be finite, got {text!r}")
     if not (lo1 < hi1 and lo2 < hi2):
         raise UsageError(f"degenerate bounds {text!r}")
     return lo1, hi1, lo2, hi2
@@ -488,12 +478,15 @@ def recipe_fig2(outdir: str, grid: int = 25) -> float:
     """Rebuild the two-panel portrait: linear next to sigmoidal, each with
     target and separatrix overlays. Returns the separatrix-vs-formula
     deviation measured at w1 in {0.25, 0.5, 1.0}."""
-    os.makedirs(outdir, exist_ok=True)
     bounds = (-3.0, 3.0, -3.0, 3.0)
-    for kind in ("linear", "sigmoid"):
-        portrait = phase_portrait(bounds, grid, include_manifolds=True, kind=kind)
-        write_portrait_csv(portrait, os.path.join(outdir, f"fig2_{kind}.csv"))
-        write_portrait_svg(portrait, os.path.join(outdir, f"fig2_{kind}.svg"))
+    try:
+        portraits = [phase_portrait(bounds, grid, include_manifolds=True, kind=kind) for kind in ("linear", "sigmoid")]
+    except ValueError as exc:  # a grid below 2
+        raise UsageError(str(exc)) from exc
+    os.makedirs(outdir, exist_ok=True)
+    for portrait in portraits:
+        write_portrait_csv(portrait, os.path.join(outdir, f"fig2_{portrait.kind}.csv"))
+        write_portrait_svg(portrait, os.path.join(outdir, f"fig2_{portrait.kind}.svg"))
 
     cfg = IntegratorConfig(rtol=1e-10, atol=1e-12, t_max=25.0, grad_tol=1e-12)
     trace = separatrix_trace("plus", "backward", cfg, eps=1e-6, radius=2.5)

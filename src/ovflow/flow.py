@@ -28,7 +28,7 @@ from ovflow.cost import MatrixCost
 from ovflow.csvio import write_csv
 from ovflow.invariant import drift_series, imbalance_series
 from ovflow.linnet import LayerStack, NetShape, flow_field, pack, product, random_init, unpacker
-from ovflow.odeint import IntegratorConfig, solve_flow, solve_flow_batch
+from ovflow.odeint import IntegratorConfig, OdeResult, solve_flow, solve_flow_batch
 
 __all__ = [
     "FlowSample",
@@ -55,13 +55,11 @@ class FlowSample:
 
 
 @dataclass(frozen=True, eq=False)
-class Trajectory:
-    """A recorded flow as read-only arrays, one row per sample: t (S,), flat
-    states y (S, d), cost (S,) and ||grad g||_F (S,). As the integrators
-    build it, each array is a view of a read-only owner, so numpy refuses to
-    make it writeable again. The solver's counts come with it: accepted
-    steps, field evaluations, rejected steps, and steps forced at the
-    minimum step size (see ``odeint.OdeResult``).
+class Trajectory(OdeResult):
+    """A recorded flow: the solver's record (``odeint.OdeResult``: t (S,),
+    flat states y (S, d), ||grad g||_F as field_norm (S,), the stop reason
+    and the solver's counts, every array read-only) plus the cost at every
+    sample (S,), the stack shape and the integrator config.
 
     ``samples`` and ``final`` present those rows as FlowSamples, built when
     first read. Their stacks are not copies: each layer is a read-only view
@@ -69,17 +67,9 @@ class Trajectory:
     all the samples built. ``drift_series`` is computed once and serves both
     ``invariant.drift`` and the trajectory CSV."""
 
-    t: np.ndarray
-    y: np.ndarray
     cost: np.ndarray
-    grad_norm: np.ndarray
     shape: NetShape
-    stop_reason: str
     config: IntegratorConfig
-    n_steps: int
-    nfev: int
-    n_rejected: int
-    n_forced: int
 
     def layers(self) -> list[np.ndarray]:
         """W_1, ..., W_N at every sample, as (S, rows, cols) views of y."""
@@ -97,15 +87,16 @@ class Trajectory:
     def drift_series(self) -> np.ndarray:
         """``invariant.drift_series`` of the recording (read-only); needs
         at least two layers."""
-        return _locked(drift_series(self.layers()))
+        series = drift_series(self.layers())
+        series.flags.writeable = False
+        return series.view()  # a view of a read-only owner stays read-only
 
     def _samples(self, rows: slice) -> tuple[FlowSample, ...]:
         y = self.y[rows]
-        y.flags.writeable = False  # and so every view of it, even in a hand-built trajectory
         if not np.isfinite(y).all():
             raise ValueError("recorded states contain non-finite entries")
         stacks = (LayerStack._of_views(self.shape, views) for views in zip(*unpacker(self.shape)(y)))
-        t, cost, grad_norm = (arr[rows].tolist() for arr in (self.t, self.cost, self.grad_norm))
+        t, cost, grad_norm = (arr[rows].tolist() for arr in (self.t, self.cost, self.field_norm))
         return tuple(map(FlowSample, t, stacks, cost, grad_norm))
 
 
@@ -122,19 +113,11 @@ class LimitClass:
     note: str = ""
 
 
-def _locked(arr: np.ndarray) -> np.ndarray:
-    # a read-only view of a read-only owner cannot be made writeable again
-    arr.flags.writeable = False
-    return arr.view()
-
-
-def _as_trajectory(result, shape: NetShape, cost: MatrixCost, cfg: IntegratorConfig) -> Trajectory:
+def _as_trajectory(result: OdeResult, shape: NetShape, cost: MatrixCost, cfg: IntegratorConfig) -> Trajectory:
     # near-overflow tails of diverging runs evaluate to inf, not a warning storm
     with np.errstate(over="ignore", invalid="ignore"):
         values = np.array([cost.value(w) for w in product(unpacker(shape)(result.y))])
-    t, y, values, grad_norm = map(_locked, (result.t, result.y, values, result.field_norm))
-    counts = result.n_steps, result.nfev, result.n_rejected, result.n_forced
-    return Trajectory(t, y, values, grad_norm, shape, result.stop_reason, cfg, *counts)
+    return Trajectory(**vars(result), cost=values, shape=shape, config=cfg)
 
 
 def integrate(
@@ -195,17 +178,24 @@ def detect_convergence(traj: Trajectory, cost: MatrixCost) -> LimitClass:
     spurious_critical_of_g: grad g vanished while grad f did not, so the
     factorization, not the objective, stalled the flow.
     undecided: the run stopped before either test resolves (time or step
-    budget, or a non-finite abort).
+    budget, or a non-finite abort), or one of the above holds but the
+    solver forced a step through at its minimum step size, so its error
+    control does not vouch for the end point.
     """
     # a run that stopped on non_finite may end too large to square
     with np.errstate(over="ignore", invalid="ignore"):
         grad_f_norm = float(np.linalg.norm(cost.gradient(product([layer[-1] for layer in traj.layers()]))))
-    grad_g_norm = float(traj.grad_norm[-1])
+    grad_g_norm = float(traj.field_norm[-1])
     if grad_f_norm < 1e-6:
-        return LimitClass("critical_of_f", grad_f_norm, grad_g_norm)
-    if grad_g_norm < traj.config.grad_tol:
-        return LimitClass("spurious_critical_of_g", grad_f_norm, grad_g_norm)
-    return LimitClass("undecided", grad_f_norm, grad_g_norm, note=f"stopped on {traj.stop_reason}")
+        label = "critical_of_f"
+    elif grad_g_norm < traj.config.grad_tol:
+        label = "spurious_critical_of_g"
+    else:
+        return LimitClass("undecided", grad_f_norm, grad_g_norm, note=f"stopped on {traj.stop_reason}")
+    if traj.n_forced:
+        note = f"steps forced at the minimum step size: {traj.n_forced}; otherwise {label}"
+        return LimitClass("undecided", grad_f_norm, grad_g_norm, note=note)
+    return LimitClass(label, grad_f_norm, grad_g_norm)
 
 
 def sweep(
@@ -241,7 +231,7 @@ def write_trajectory_csv(traj: Trajectory, cost: MatrixCost, path: str) -> None:
         grad_f_norm = [math.sqrt(g.dot(g)) for g in cost.gradient(w).reshape(count, -1)]
     drift = traj.drift_series if depth >= 2 else np.zeros(count)
     imbalance = imbalance_series(layers).tolist() if depth == 2 and n == 1 else [""] * count
-    leading = np.column_stack([traj.t, traj.cost, traj.grad_norm, grad_f_norm, drift])
+    leading = np.column_stack([traj.t, traj.cost, traj.field_norm, grad_f_norm, drift])
 
     header = ["t", "cost", "grad_g_norm", "grad_f_norm", "drift", "imbalance_c"]
     header += [f"w_{r}_{c}" for r in range(n) for c in range(n)]

@@ -210,12 +210,17 @@ class IntegratorConfig:
             raise ValueError("record_stride must be at least 1")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class OdeResult:
     """Sampled solution: times, states (one row per sample), field norms at
     the samples, why integration stopped, the accepted step count, the
     field evaluations, the rejected steps, and the steps accepted at the
-    minimum step size although their error estimate exceeded 1."""
+    minimum step size although their error estimate exceeded 1.
+
+    Every record of a flow in the package extends this one. Each ndarray
+    field, a subclass's included, is stored as a read-only view of a
+    read-only owner, so numpy refuses to make it writeable again; an array
+    that is already read-only is stored as given."""
 
     t: np.ndarray
     y: np.ndarray
@@ -225,6 +230,12 @@ class OdeResult:
     nfev: int
     n_rejected: int
     n_forced: int
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, np.ndarray) and value.flags.writeable:
+                value.flags.writeable = False
+                object.__setattr__(self, name, value.view())
 
 
 def _finite(arr: np.ndarray) -> bool:
@@ -249,8 +260,9 @@ def solve_flow(
     checkpoint buffer, the same array objects each time.
 
     Every checkpoint in (0, t_max] that the run reaches is recorded, in time
-    order with the steps, together with the field norm there; stop_when is
-    asked at every recorded sample, so nothing past the stop is recorded.
+    order with the steps, together with the field norm there. Every recorded
+    sample is tested for convergence (field norm below grad_tol) and then
+    asked stop_when, so nothing past the stop is recorded.
     """
     y = np.array(y0, dtype=float).ravel()
     if not _finite(y):
@@ -379,7 +391,10 @@ def solve_flow(
                             if j == 0:  # else the last checkpoint is the last finite sample
                                 record(t_old, y, fnorm)
                             return finish("non_finite")
-                        record(t_cp, y_cp, math.sqrt(cp_out.dot(cp_out)))
+                        fnorm_cp = math.sqrt(cp_out.dot(cp_out))
+                        record(t_cp, y_cp, fnorm_cp)
+                        if fnorm_cp < cfg.grad_tol:
+                            return finish("converged")
                         if stop_when is not None and stop_when(t_cp, y_cp):
                             return finish("stopped")
             y = y_new

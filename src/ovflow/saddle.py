@@ -20,6 +20,7 @@ compared against the algebraic certificate.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -200,11 +201,11 @@ def certify_strict_saddle(stack: LayerStack, cost: MatrixCost) -> SaddleCertific
 
 def write_certificate_csv(cert: SaddleCertificate, path: str) -> str:
     """Write the certificate row; the direction goes to a sibling file in
-    the layer CSV format. Returns the direction file path."""
+    the layer CSV format, named by path without its extension plus
+    "_direction.csv". Returns the direction file path."""
     row = [cert.curvature, cert.q_bar, cert.min_eig, str(cert.is_strict_saddle).lower()]
     write_csv(path, ["curvature", "q_bar", "min_eig", "is_strict_saddle"], [row])
-    stem, dot, _ = path.rpartition(".")
-    direction_path = (stem if dot else path) + "_direction.csv"
+    direction_path = os.path.splitext(path)[0] + "_direction.csv"
     M1, M2 = cert.direction
     write_stack_csv(LayerStack.from_layers([M1, M2]), direction_path)
     return direction_path

@@ -28,7 +28,7 @@ import numpy as np
 from ovflow.cost import PdpliReport, ScalarCost, pdpli_check
 from ovflow.flow import Trajectory, detect_convergence, integrate, integrate_batch
 from ovflow.linnet import LayerStack, NetShape, product
-from ovflow.odeint import IntegratorConfig, solve_flow
+from ovflow.odeint import IntegratorConfig, OdeResult, solve_flow
 
 __all__ = [
     "ScalarPairState",
@@ -122,14 +122,16 @@ def full_flow(
     return integrate(to_stack(state0), cost.as_matrix(), cfg, checkpoints=checkpoints)
 
 
-@dataclass(frozen=True)
-class ReducedTrajectory:
-    """Samples of the one-dimensional reduced flow."""
+@dataclass(frozen=True, eq=False)
+class ReducedTrajectory(OdeResult):
+    """Samples of the one-dimensional reduced flow: the solver's record,
+    whose states y (S, 1) hold z, plus f(z) at every sample."""
 
-    t: np.ndarray
-    z: np.ndarray
     f: np.ndarray
-    stop_reason: str
+
+    @property
+    def z(self) -> np.ndarray:
+        return self.y[:, 0]
 
 
 def reduced_flow(
@@ -149,9 +151,8 @@ def reduced_flow(
         out[0] = -cost.deriv(z) * math.sqrt(c + 4.0 * z * z)
 
     result = solve_flow(field, np.array([z0]), cfg, checkpoints=checkpoints)
-    z = result.y[:, 0]
-    f = np.array([cost.value(v) for v in z])
-    return ReducedTrajectory(t=result.t, z=z, f=f, stop_reason=result.stop_reason)
+    f = np.array([cost.value(v) for v in result.y[:, 0]])
+    return ReducedTrajectory(**vars(result), f=f)
 
 
 def match_reduction(cost: ScalarCost, state0: ScalarPairState, cfg: IntegratorConfig) -> float:
@@ -211,10 +212,12 @@ def compare_acceleration(
 ) -> AccelReport:
     """Race two reduced flows that differ only in imbalance.
 
-    Preconditions: c_low < c_high and the start is not already critical
-    (f'(z0) != 0). With c_low = 0 and z0 = 0 the low run never moves; that
-    degenerate race is refused.
+    Preconditions: z0, c_low and c_high are finite, c_low < c_high and the
+    start is not already critical (f'(z0) != 0). With c_low = 0 and z0 = 0
+    the low run never moves; that degenerate race is refused.
     """
+    if not all(map(math.isfinite, (z0, c_low, c_high))):
+        raise ValueError(f"z0, c_low and c_high must be finite, got {z0}, {c_low} and {c_high}")
     if not c_high > c_low:
         raise ValueError(f"need c_low < c_high, got {c_low} >= {c_high}")
     if cost.deriv(z0) == 0.0:
@@ -281,11 +284,15 @@ def dichotomy_experiment(
 
     Generic starts (d > 0) must drive f to its infimum; anti-balanced
     starts (d = 0) must collapse to the origin, where f keeps the value
-    f(0). Preconditions checked here: f'(0) != 0, f(0) above the infimum,
-    and the gradient-dominance scan passing on [-3, 3]. Only
-    each run's final state is read, so all starts are integrated together
-    through one ``integrate_batch`` call.
+    f(0). Preconditions checked here: k >= 1, nonnegative run counts,
+    f'(0) != 0, f(0) above the infimum, and the gradient-dominance scan
+    passing on [-3, 3]. Only each run's final state is read, so all starts
+    are integrated together through one ``integrate_batch`` call.
     """
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+    if n_generic < 0 or n_anti < 0:
+        raise ValueError(f"run counts must be nonnegative, got {n_generic} generic and {n_anti} anti-balanced")
     runs = _dichotomy_starts(cost, k, n_generic, n_anti, seed)  # raises first when f'(0) = 0
     report = pdpli_check(cost, _SCAN_INTERVAL)
     if not report.passed:

@@ -29,7 +29,7 @@ from typing import Union
 import numpy as np
 
 from ovflow.csvio import write_csv
-from ovflow.odeint import IntegratorConfig, solve_flow
+from ovflow.odeint import IntegratorConfig, OdeResult, solve_flow
 
 __all__ = [
     "sigma",
@@ -80,16 +80,12 @@ def manifold_curve(w1: Union[float, np.ndarray]):
 
 
 @dataclass(frozen=True, eq=False)
-class SigTrajectory:
-    """A sigmoidal run as the solver's columns, one entry per recorded
-    sample: times, both weights, the conserved level and the cost."""
+class SigTrajectory(OdeResult):
+    """A sigmoidal run: the solver's record, whose states y (S, 2) are the
+    (w1, w2) rows, plus the conserved level and the cost at every sample."""
 
-    t: np.ndarray
-    w1: np.ndarray
-    w2: np.ndarray
     invariant: np.ndarray
     cost: np.ndarray
-    stop_reason: str
 
 
 def _sig_rhs(y: np.ndarray, out: np.ndarray) -> None:
@@ -104,8 +100,8 @@ def _sig_rhs_backward(y: np.ndarray, out: np.ndarray) -> None:
 def sig_integrate(w1: float, w2: float, cfg: IntegratorConfig) -> SigTrajectory:
     """Integrate the sigmoidal flow from (w1, w2)."""
     result = solve_flow(_sig_rhs, np.array([w1, w2]), cfg)
-    w1s, w2s = result.y[:, 0], result.y[:, 1]
-    return SigTrajectory(result.t, w1s, w2s, sig_invariant(w1s, w2s), sig_cost(w1s, w2s), result.stop_reason)
+    w1s, w2s = result.y.T
+    return SigTrajectory(**vars(result), invariant=sig_invariant(w1s, w2s), cost=sig_cost(w1s, w2s))
 
 
 def origin_eigenvectors() -> tuple[np.ndarray, np.ndarray]:

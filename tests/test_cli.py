@@ -150,6 +150,32 @@ def test_help_exits_zero():
     assert "simulate" in proc.stdout
 
 
+# inputs that once hung or ended in a traceback; each case ends with the
+# flag that takes the output path
+BAD_INPUTS = {
+    "dichotomy_k0": ["dichotomy", "--expr", "(1 - w)^2", "--k", "0", "--out"],
+    "dichotomy_negative_runs": ["dichotomy", "--expr", "(1 - w)^2", "--runs", "-1", "--out"],
+    "fig2_grid1": ["recipe-fig2", "--grid", "1", "--outdir"],
+    "accelerate_inf": ["accelerate", "--expr", "(1 - w)^2", "--z0", "0.5", "--c-low", "0", "--c-high", "inf", "--out"],
+    "portrait_inf": ["phase-portrait", "--bounds=-inf:inf:-1:1", "--svg"],
+}
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_bad_input_exits_1_with_a_message(tmp_path, case):
+    # a separate process with a timeout, so that an input that hangs fails the test
+    proc = subprocess.run(
+        [sys.executable, "-m", "ovflow.cli", *BAD_INPUTS[case], str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    # one line: no traceback and no warning
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 # sweep
 
 
@@ -250,6 +276,16 @@ def test_saddle_certify_the_origin(tmp_path):
     assert lines[0] == "curvature,q_bar,min_eig,is_strict_saddle"
     assert lines[1].endswith("true")
     assert (tmp_path / "cert_direction.csv").exists()
+
+
+def test_saddle_certify_writes_the_direction_beside_the_certificate(tmp_path, monkeypatch):
+    # a dot in a directory name is not the certificate's extension
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path)
+    (tmp_path / "runs.v2").mkdir()
+    assert main(["saddle-certify", "--config", cfg, "--out", "runs.v2/cert"]) == 0
+    assert sorted(p.name for p in (tmp_path / "runs.v2").iterdir()) == ["cert", "cert_direction.csv"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "runs.v2"]
 
 
 def test_saddle_certify_rejects_a_minimizer(tmp_path):

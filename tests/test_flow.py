@@ -1,5 +1,7 @@
 """End-to-end dynamics: the factored flow, its baseline, and trajectory I/O."""
 
+import dataclasses
+import math
 import subprocess
 import sys
 
@@ -29,7 +31,8 @@ from ovflow.linnet import (
     random_init,
 )
 from ovflow.odeint import _TABLEAUS, IntegratorConfig, solve_flow, solve_flow_batch
-from ovflow.scalarcase import anti_balanced, to_stack
+from ovflow.scalarcase import anti_balanced, reduced_flow, to_stack
+from ovflow.sigmoid import _sig_rhs, sig_integrate
 
 COST = QuadraticMatrixCost(np.array([[2.0, 0.3], [-0.1, 1.0]]))
 
@@ -110,6 +113,11 @@ def test_detect_convergence_labels():
     label = detect_convergence(good, COST)
     assert label.label == "critical_of_f"
     assert label.grad_f_norm < 1e-6
+    # a forced step is never a verdict, not even at a critical point of f
+    forced = dataclasses.replace(good, n_forced=1)
+    label = detect_convergence(forced, COST)
+    assert label.label == "undecided" and label.grad_f_norm < 1e-6
+    assert label.note == "steps forced at the minimum step size: 1; otherwise critical_of_f"
 
     # anti-balanced scalar start flows into the spurious critical point at zero
     scalar = parse_scalar_cost("(1 - w)^2")
@@ -289,7 +297,7 @@ def test_array_route_matches_the_per_sample_route(tmp_path, case):
     layers = traj.layers()
     assert [layer.shape for layer in layers] == [(len(traj.t),) + dims for dims in layer_shapes(shape)]
     for i, sample in enumerate(traj.samples):
-        assert (sample.t, sample.cost, sample.grad_norm) == (traj.t[i], traj.cost[i], traj.grad_norm[i])
+        assert (sample.t, sample.cost, sample.grad_norm) == (traj.t[i], traj.cost[i], traj.field_norm[i])
         for got, want in zip(sample.stack.layers, layers):
             np.testing.assert_array_equal(got, want[i])
     assert traj.final.t == traj.samples[-1].t
@@ -309,19 +317,28 @@ def test_array_route_matches_the_per_sample_route(tmp_path, case):
 
 
 def test_trajectory_arrays_cannot_be_made_writeable():
-    traj = integrate(random_init(NetShape(2, 3, 3), seed=1, scale=0.5), COST, IntegratorConfig(t_max=5.0))
-    for arr in (traj.t, traj.y, traj.cost, traj.grad_norm, traj.samples[1].stack.layers[1]):
+    cfg = IntegratorConfig(t_max=5.0)
+    traj = integrate(random_init(NetShape(2, 3, 3), seed=1, scale=0.5), COST, cfg)
+    reduced = reduced_flow(parse_scalar_cost("(1 - w)^2"), 1.0, 0.5, cfg, checkpoints=[0.5, 1.0])
+    sig = sig_integrate(0.3, -0.2, cfg)
+    # the drift series is shared by drift and the CSV
+    derived = [traj.samples[1].stack.layers[1], traj.drift_series, reduced.z]
+    fields = [getattr(rec, f.name) for rec in (traj, reduced, sig) for f in dataclasses.fields(rec)]
+    arrays = [arr for arr in fields if isinstance(arr, np.ndarray)]
+    assert len(arrays) == 3 * 3 + 4  # t, y and field_norm each, then cost, f, invariant and cost
+    for arr in arrays + derived:
         with pytest.raises(ValueError):
             arr.flags.writeable = True
-    with pytest.raises(ValueError):  # shared by drift and the CSV
-        traj.drift_series.flags.writeable = True
+    # an array that is already read-only is stored as given, not locked again
+    assert dataclasses.replace(traj, n_forced=1).y is traj.y
 
 
 def test_samples_of_a_non_finite_recording_are_refused():
     shape = NetShape(1, 2, 2)
     y = np.ones((3, 4))
     y[1, 2] = np.nan
-    traj = Trajectory(np.arange(3.0), y, np.zeros(3), np.zeros(3), shape, "t_max", IntegratorConfig(), 2, 25, 0, 0)
+    traj = Trajectory(t=np.arange(3.0), y=y, field_norm=np.zeros(3), stop_reason="t_max", n_steps=2, nfev=25,
+                      n_rejected=0, n_forced=0, cost=np.zeros(3), shape=shape, config=IntegratorConfig())
     with pytest.raises(ValueError, match="non-finite"):
         traj.samples
     assert traj.final.t == 2.0  # the last row is finite
@@ -503,6 +520,19 @@ def test_an_overflowing_interpolant_stops_the_run(method, value):
     assert plain.stop_reason == "t_max" and np.isfinite(plain.y).all()
 
 
+def test_convergence_is_tested_at_every_checkpoint():
+    # e^{-t} falls below 1e-4 at t = 9.2103; the steps are far longer than the grid
+    cfg = IntegratorConfig(t_max=20.0, grad_tol=1e-4)
+    grid = np.arange(1, 2001) * 0.01
+    plain = solve_flow(_decay, np.array([1.0]), cfg)
+    res = solve_flow(_decay, np.array([1.0]), cfg, checkpoints=grid)
+    assert res.stop_reason == plain.stop_reason == "converged"
+    first = grid[np.argmax(np.exp(-grid) < cfg.grad_tol)]
+    assert res.t[-1] == first == 9.22 < plain.t[-1]
+    assert res.field_norm[-1] < cfg.grad_tol <= res.field_norm[:-1].min()
+    assert res.n_steps == plain.n_steps  # it stops inside the step that converges
+
+
 def test_stop_when_is_asked_at_every_checkpoint():
     cps = np.linspace(0.01, 2.0, 200)
     res = solve_flow(lambda y, out: np.copyto(out, y), np.array([1.0]),
@@ -619,6 +649,21 @@ def test_trajectories_carry_the_solver_counts():
             plain.n_steps, plain.nfev, plain.n_rejected, plain.n_forced)
         assert type(traj.n_forced) is type(row.n_forced) is int
     assert sum(traj.n_rejected for traj in batch) > 0
+
+    well = parse_scalar_cost("(1 - w)^2")
+
+    def reduced_field(y, out):  # c = 1
+        out[0] = -well.deriv(float(y[0])) * math.sqrt(1.0 + 4.0 * float(y[0]) ** 2)
+
+    reduced = reduced_flow(well, 1.0, 0.5, cfg, checkpoints=cps)
+    sig = sig_integrate(0.3, -0.2, cfg)
+    for rec, res in (
+        (reduced, solve_flow(reduced_field, np.array([0.5]), cfg, checkpoints=cps)),
+        (sig, solve_flow(_sig_rhs, np.array([0.3, -0.2]), cfg)),
+    ):
+        assert (rec.n_steps, rec.nfev, rec.n_rejected, rec.n_forced) == (
+            res.n_steps, res.nfev, res.n_rejected, res.n_forced)
+        assert rec.n_steps > 0 and rec.t.tobytes() == res.t.tobytes() and rec.y.tobytes() == res.y.tobytes()
 
 
 def test_dop853_coefficients_are_hairers():

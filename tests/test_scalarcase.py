@@ -112,18 +112,23 @@ def test_match_reduction_with_imbalance():
     assert match_reduction(WELL, state0, cfg) < 1e-8
 
 
+def _frozen_at_one(t):
+    """A hand-built reduced record that sits at z = 1."""
+    return ReducedTrajectory(t=t, y=np.ones((t.size, 1)), field_norm=np.zeros_like(t), stop_reason="t_max",
+                             n_steps=t.size - 1, nfev=t.size, n_rejected=0, n_forced=0, f=np.zeros_like(t))
+
+
 def test_reparameterized_clock_on_constant_z():
     # frozen z = 1, c = 0: the clock rate is sqrt(4 z^2) = 2 exactly
     t = np.linspace(0.0, 1.0, 101)
-    traj = ReducedTrajectory(t=t, z=np.ones_like(t), f=np.zeros_like(t), stop_reason="t_max")
+    traj = _frozen_at_one(t)
     clocked = reparameterize_time(traj, 0.0)
     np.testing.assert_allclose(clocked[:, 0], 2.0 * t, atol=1e-12)
     np.testing.assert_array_equal(clocked[:, 1], traj.z)
 
 
 def test_reparameterize_time_needs_dense_samples():
-    t = np.linspace(0.0, 1.0, 5)
-    traj = ReducedTrajectory(t=t, z=np.ones_like(t), f=np.zeros_like(t), stop_reason="t_max")
+    traj = _frozen_at_one(np.linspace(0.0, 1.0, 5))
     with pytest.raises(ValueError):
         reparameterize_time(traj, 0.0)
 

@@ -86,7 +86,7 @@ def test_stable_branch_flows_to_the_origin():
     _, minus = manifold_curve(w1)
     cfg = IntegratorConfig(rtol=1e-10, atol=1e-12, t_max=40.0, grad_tol=1e-12)
     traj = sig_integrate(w1, float(minus), cfg)
-    closest = np.min(np.hypot(traj.w1, traj.w2))
+    closest = np.min(np.hypot(traj.y[:, 0], traj.y[:, 1]))
     assert closest < 1e-5
     assert np.all(np.abs(traj.invariant + 0.5) < 1e-9)
 
