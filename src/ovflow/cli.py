@@ -98,10 +98,13 @@ def _as_int(value, where: str) -> int:
 def _as_real(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise UsageError(f"{where} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError as exc:  # an integer beyond float range
+        raise UsageError(f"{where} is too large for a float") from exc
 
 
-_READERS = {"int": _as_int, "float": _as_real, "str": lambda value, where: str(value)}
+_READERS = {"int": _as_int, "float": _as_real}
 
 
 def _section(raw, cls, where: str, bad: str):
@@ -123,7 +126,7 @@ def load_config(path: str) -> RunConfig:
             raw = json.load(handle)
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer with too many digits
         raise UsageError(f"config {path} is not valid JSON: {exc}") from exc
 
     _check_keys(raw, "config", ("cost", "net", "init", "integrator"))
@@ -313,6 +316,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.runs < 0:
+        raise UsageError(f"run count must be nonnegative, got {args.runs}")
     config = load_config(args.config)
     if config.init_mode != "random":
         raise UsageError("sweep draws random initializations; set init mode 'random'")
@@ -327,11 +332,15 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_accelerate(args) -> int:
+def _scalar_cost(expr: str, min_value: Optional[float] = None) -> ScalarCost:
     try:
-        cost = parse_scalar_cost(args.expr, min_value=args.min_value)
+        return parse_scalar_cost(expr, min_value=min_value)
     except ParseError as exc:
         raise UsageError(f"bad expression: {exc}") from exc
+
+
+def _cmd_accelerate(args) -> int:
+    cost = _scalar_cost(args.expr, args.min_value)
     try:
         cfg = IntegratorConfig(rtol=1e-10, atol=1e-12, t_max=args.t_max, grad_tol=1e-12)
         report = compare_acceleration(cost, args.z0, args.c_low, args.c_high, cfg)
@@ -354,10 +363,7 @@ def _cmd_accelerate(args) -> int:
 
 
 def _cmd_dichotomy(args) -> int:
-    try:
-        cost = parse_scalar_cost(args.expr, min_value=args.min_value)
-    except ParseError as exc:
-        raise UsageError(f"bad expression: {exc}") from exc
+    cost = _scalar_cost(args.expr, args.min_value)
     try:
         cfg = IntegratorConfig(rtol=1e-10, atol=1e-12, t_max=args.t_max)
         report = dichotomy_experiment(
@@ -459,10 +465,7 @@ def _cmd_phase_portrait(args) -> int:
 
 
 def _cmd_parse_cost(args) -> int:
-    try:
-        cost = parse_scalar_cost(args.expr)
-    except ParseError as exc:
-        raise UsageError(f"bad expression: {exc}") from exc
+    cost = _scalar_cost(args.expr)
     print(f"f(w)   = {to_string(cost.expression)}")
     print(f"f'(w)  = {to_string(cost.derivative)}")
     print(f"f''(w) = {to_string(cost.second_derivative)}")

@@ -1,16 +1,13 @@
-"""Explicit Runge-Kutta integration of autonomous fields.
+"""Dormand and Prince's 8(5,3) pair, DOP853, for autonomous fields.
 
-Every method is an explicit tableau in first-same-as-last form: its last
-stage row gives the new state, so the last stage is the field there and
-opens the next step. Two tableaus are provided: Dormand and Prince's 8(5,3)
-pair, DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.10), under
-its own step-size control (the default), and classical RK4,
-which has no error rows, so every finite step is accepted at the fixed step
-h0. The state is a flat float vector; callers pack and unpack their own
-structures. ``solve_flow`` runs one flow with checkpoints, recording and a
-stop predicate; ``solve_flow_batch`` runs a (batch, dim) array of
-independent flows at once, each row stepping as its own ``solve_flow`` run
-would. Both loops serve both methods.
+DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.10) is the only
+integrator: an explicit Runge-Kutta pair in first-same-as-last form,
+stepping under its own step-size control. Its last stage row gives the new
+state, so the last stage is the field there and opens the next step. The
+state is a flat float vector; callers pack and unpack their own structures.
+``solve_flow`` runs one flow with checkpoints, recording and a stop
+predicate; ``solve_flow_batch`` runs a (batch, dim) array of independent
+flows at once, each row stepping as its own ``solve_flow`` run would.
 
 A field is called as ``field(y, out)`` and writes the field at y into out,
 an array of y's shape; its return value is ignored. Within one solve the
@@ -28,9 +25,8 @@ sample is kept; a start whose field is already non-finite stops there), or
 a caller-supplied predicate. ``checkpoints`` are times that are always
 recorded, which is how trajectories from different systems get compared
 on a shared time grid. Steps are not shortened to land on them: each is
-sampled from the continuous extension of the step that spans it (DOP853's
-7th-order dense output, the cubic Hermite interpolant under RK4), so a
-flow takes the same steps with or without checkpoints. Only ``t_max`` is
+sampled from DOP853's 7th-order dense output on the step that spans it, so
+a flow takes the same steps with or without checkpoints. Only ``t_max`` is
 landed on.
 """
 
@@ -39,7 +35,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -47,22 +43,6 @@ __all__ = ["IntegratorConfig", "OdeResult", "solve_flow", "solve_flow_batch"]
 
 _H_MIN = 1e-12
 _H_MAX = 1.0
-
-
-class _Tableau(NamedTuple):
-    """Stage rows (row i builds stage i + 1 from stages 0..i; the last row
-    gives the new state), solution weights, the two error-weight rows of
-    the combined estimate (None for a fixed-step method), the rows of the
-    extra stages the continuous extension needs, and its weights on all
-    stages past the cubic Hermite terms (None: the extension is the cubic
-    Hermite interpolant)."""
-
-    a: tuple[np.ndarray, ...]
-    b: np.ndarray
-    e5: Optional[np.ndarray]
-    e3: Optional[np.ndarray]
-    a_extra: tuple[np.ndarray, ...]
-    d: Optional[np.ndarray]
 
 
 # DOP853's coefficients (Hairer's dop853.f, as scipy.integrate ships them):
@@ -146,35 +126,13 @@ _DOP853_D = np.array([
     ],
 ])
 
-_TABLEAUS = {
-    "dop853": _Tableau(
-        a=_DOP853_A,
-        b=np.append(_DOP853_A[-1], 0.0),
-        e5=_DOP853_E5,
-        e3=_DOP853_E3,
-        a_extra=_DOP853_A_EXTRA,
-        d=_DOP853_D,
-    ),
-    "rk4": _Tableau(
-        a=(
-            np.array([0.5]),
-            np.array([0.0, 0.5]),
-            np.array([0.0, 0.0, 1.0]),
-            np.array([1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0]),
-        ),
-        b=np.array([1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0, 0.0]),
-        e5=None,
-        e3=None,
-        a_extra=(),
-        d=None,
-    ),
-}
+_DOP853_B = np.append(_DOP853_A[-1], 0.0)  # the new state's weights; the 13th stage has none
 
 # DOP853's own step control: the error's power for an order-7 estimate,
 # and the safety factor (Hairer, Norsett & Wanner, sec. II.4)
 _ERR_EXPONENT = -1.0 / 8.0
 _SAFETY = 0.9
-# the continuous extension's weight on its row j is x or 1 - x for even or
+# the dense output's weight on its row j is x or 1 - x for even or
 # odd j, times its weight on row j - 1 (x: the fraction of the step)
 _EVEN_ROWS = np.arange(7) % 2 == 0
 
@@ -183,12 +141,11 @@ _EVEN_ROWS = np.arange(7) % 2 == 0
 class IntegratorConfig:
     """Integration settings shared by every flow in the package.
 
-    method is "dop853" (adaptive Dormand-Prince 8(5,3)) or "rk4" (fixed
-    step h0). grad_tol is the field-norm threshold that counts as
-    convergence; record_stride records every that many steps.
+    rtol and atol bound each DOP853 step's error; h0 is the first trial
+    step. grad_tol is the field-norm threshold that counts as convergence;
+    record_stride records every that many steps.
     """
 
-    method: str = "dop853"
     rtol: float = 1e-10
     atol: float = 1e-12
     h0: float = 1e-3
@@ -198,8 +155,6 @@ class IntegratorConfig:
     record_stride: int = 1
 
     def __post_init__(self):
-        if self.method not in _TABLEAUS:
-            raise ValueError(f"unknown method {self.method!r}; use 'dop853' or 'rk4'")
         for name in ("rtol", "atol", "h0", "t_max", "grad_tol"):
             value = getattr(self, name)
             if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
@@ -295,9 +250,8 @@ def solve_flow(
             n_forced=forced,
         )
 
-    a_rows, b, e5, e3, a_extra, d = _TABLEAUS[cfg.method]
-    n_stages = len(b)  # the step's stages; the extension's extra stages follow
-    stages = np.empty((n_stages + len(a_extra), y.size))
+    n_stages = len(_DOP853_B)  # the step's stages; the dense output's extra stages follow
+    stages = np.empty((n_stages + len(_DOP853_A_EXTRA), y.size))
     # views made once: at these sizes numpy's dispatch is the cost; ndarray.dot
     # and math.sqrt below round exactly as matmul and np.linalg.norm
     prior = [stages[: i + 1] for i in range(len(stages) - 1)]
@@ -322,7 +276,7 @@ def solve_flow(
         return finish("stopped")
 
     t = 0.0
-    h = cfg.h0 if e5 is None else min(max(cfg.h0, _H_MIN), _H_MAX)
+    h = min(max(cfg.h0, _H_MIN), _H_MAX)
     retry = False  # the last try was rejected
     cp_idx = 0
 
@@ -335,21 +289,18 @@ def solve_flow(
         h_try = cfg.t_max - t if landing else h
 
         with np.errstate(over="ignore", invalid="ignore"):
-            for i, row in enumerate(a_rows):
+            for i, row in enumerate(_DOP853_A):
                 np.add(y, h_try * row.dot(prior[i]), out=y_stage)
                 field(y_stage, outs[i + 1])
-            nfev += len(a_rows)
-            y_new = y + h_try * b.dot(step_stages)
+            nfev += len(_DOP853_A)
+            y_new = y + h_try * _DOP853_B.dot(step_stages)
             fnorm_new = math.sqrt(last.dot(last))
-            err = 0.0
-            if e5 is not None:
-                scale = cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(y_new))
-                r5, r3 = e5.dot(step_stages) / scale, e3.dot(step_stages) / scale
-                # summed as the batched loop sums a row, not by ndarray.dot
-                n5 = np.add.reduce(r5 * r5)
-                denom = (n5 + 0.01 * np.add.reduce(r3 * r3)) * y.size
-                if denom:  # 0 only when both estimates are
-                    err = h_try * n5 / math.sqrt(denom)
+            scale = cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(y_new))
+            r5, r3 = _DOP853_E5.dot(step_stages) / scale, _DOP853_E3.dot(step_stages) / scale
+            # summed as the batched loop sums a row, not by ndarray.dot
+            n5 = np.add.reduce(r5 * r5)
+            denom = (n5 + 0.01 * np.add.reduce(r3 * r3)) * y.size
+            err = h_try * n5 / math.sqrt(denom) if denom else 0.0  # 0 only when both estimates are
 
         if not (_finite(y_new) and _finite(last)):
             record(t, y, fnorm)
@@ -357,10 +308,9 @@ def solve_flow(
         if math.isnan(err):
             err = math.inf
 
-        if e5 is not None:
-            # np.power, not float **: it rounds as the batched loop's powers do
-            ctrl[0] = max(err, 1e-10)
-            p_err = np.power(ctrl, _ERR_EXPONENT, out=ctrl).item()
+        # np.power, not float **: it rounds as the batched loop's powers do
+        ctrl[0] = max(err, 1e-10)
+        p_err = np.power(ctrl, _ERR_EXPONENT, out=ctrl).item()
 
         if err <= 1.0 or h_try <= _H_MIN * 1.0000001:
             steps += 1
@@ -369,16 +319,15 @@ def solve_flow(
             end = bisect_left(cps, t, cp_idx)  # checkpoints inside the step
             if end > cp_idx:
                 with np.errstate(over="ignore", invalid="ignore"):
-                    for i, row in enumerate(a_extra, len(a_rows)):
+                    for i, row in enumerate(_DOP853_A_EXTRA, len(_DOP853_A)):
                         np.add(y, h_try * row.dot(prior[i]), out=y_stage)
                         field(y_stage, outs[i + 1])
-                    nfev += len(a_extra)
+                    nfev += len(_DOP853_A_EXTRA)
                     dy = y_new - y
-                    coef = np.array([dy, h_try * first - dy, 2.0 * dy - h_try * (last + first)])
-                    if d is not None:
-                        coef = np.vstack((coef, h_try * d.dot(stages)))
+                    hermite = (dy, h_try * first - dy, 2.0 * dy - h_try * (last + first))
+                    coef = np.vstack((*hermite, h_try * _DOP853_D.dot(stages)))
                     x = (np.array(cps[cp_idx:end]) - t_old) / h_try
-                    weights = np.where(_EVEN_ROWS[: len(coef)], x[:, None], 1.0 - x[:, None]).cumprod(axis=1)
+                    weights = np.where(_EVEN_ROWS, x[:, None], 1.0 - x[:, None]).cumprod(axis=1)
                     dense = y + weights.dot(coef)
                     for j, (t_cp, y_cp) in enumerate(zip(cps[cp_idx:end], dense)):
                         finite = _finite(y_cp)
@@ -416,11 +365,10 @@ def solve_flow(
                 record(t, y, fnorm)
                 return finish("stopped")
 
-            if e5 is not None:
-                # a step right after a rejected try may not grow
-                factor = min(1.0 if retry else 5.0, max(0.2, _SAFETY * p_err))
-                h = min(max(h * factor, _H_MIN), _H_MAX)
-                retry = False
+            # a step right after a rejected try may not grow
+            factor = min(1.0 if retry else 5.0, max(0.2, _SAFETY * p_err))
+            h = min(max(h * factor, _H_MIN), _H_MAX)
+            retry = False
         else:
             rejected += 1
             factor = max(0.2, _SAFETY * p_err)
@@ -458,20 +406,20 @@ def solve_flow_batch(
     if not _finite(Y):
         raise ValueError("initial state contains non-finite entries")
 
-    a_rows, b, e5, e3 = _TABLEAUS[cfg.method][:4]
+    n_stages = len(_DOP853_B)
     n_rows = len(Y)
     t = np.zeros(n_rows)
-    h = np.full(n_rows, cfg.h0 if e5 is None else min(max(cfg.h0, _H_MIN), _H_MAX))
+    h = np.full(n_rows, min(max(cfg.h0, _H_MIN), _H_MAX))
     retry = np.zeros(n_rows, dtype=bool)  # a row's last try was rejected
     steps, nfev, rejected, forced = (np.zeros(n_rows, dtype=int) for _ in range(4))
     nfev += 1
     # the stage array and stage-input buffer of every batch size are views of
     # one block, so a shrinking batch allocates nothing; the field's arrays
     # are made anew only when it shrinks
-    block = np.empty((len(b) + 1) * Y.size)
+    block = np.empty((n_stages + 1) * Y.size)
 
     def buffers(n: int) -> tuple[np.ndarray, np.ndarray]:
-        arrays = block[: (len(b) + 1) * n * Y.shape[1]].reshape(len(b) + 1, n, Y.shape[1])
+        arrays = block[: (n_stages + 1) * n * Y.shape[1]].reshape(n_stages + 1, n, Y.shape[1])
         return arrays[:-1], arrays[-1]
 
     stages, Y_stage = buffers(n_rows)
@@ -518,33 +466,30 @@ def solve_flow_batch(
         landing = t + h >= t_end
         h_try = np.where(landing, cfg.t_max - t, h)
         hcol = h_try[:, None]
-        flat = stages.reshape(len(b), -1)  # a view: stage i is row i of flat
+        flat = stages.reshape(n_stages, -1)  # a view: stage i is row i of flat
         with np.errstate(over="ignore", invalid="ignore"):
-            for i, row in enumerate(a_rows):
+            for i, row in enumerate(_DOP853_A):
                 np.add(Y, hcol * (row @ flat[: i + 1]).reshape(Y.shape), out=Y_stage)
                 field(Y_stage, outs[i + 1])
-            nfev += len(a_rows)
-            Y_new = Y + hcol * (b @ flat).reshape(Y.shape)
+            nfev += len(_DOP853_A)
+            Y_new = Y + hcol * (_DOP853_B @ flat).reshape(Y.shape)
             finite = np.isfinite(Y_new).all(axis=1) & np.isfinite(stages[-1]).all(axis=1)
-            if e5 is None:
-                accept = finite
-            else:
-                scale = cfg.atol + cfg.rtol * np.maximum(np.abs(Y), np.abs(Y_new))
-                r5 = (e5 @ flat).reshape(Y.shape) / scale
-                r3 = (e3 @ flat).reshape(Y.shape) / scale
-                n5 = (r5 * r5).sum(axis=1)
-                denom = (n5 + 0.01 * (r3 * r3).sum(axis=1)) * Y.shape[1]
-                err = np.where(denom == 0.0, 0.0, h_try * n5 / np.sqrt(denom))
-                err[np.isnan(err)] = np.inf
-                accept = finite & ((err <= 1.0) | (h_try <= _H_MIN * 1.0000001))
-                forced += accept & (err > 1.0)
-                rejected += finite & ~accept
-                # fmax/fmin skip NaN the way the serial loop's max/min do; the
-                # floor also spares a zero error estimate a division by zero
-                factor = np.fmax(0.2, _SAFETY * np.maximum(err, 1e-10) ** _ERR_EXPONENT)
-                grow = np.fmin(np.where(retry, 1.0, 5.0), factor)
-                h = np.where(accept, h * grow, h_try * factor).clip(_H_MIN, _H_MAX)
-                retry = ~accept
+            scale = cfg.atol + cfg.rtol * np.maximum(np.abs(Y), np.abs(Y_new))
+            r5 = (_DOP853_E5 @ flat).reshape(Y.shape) / scale
+            r3 = (_DOP853_E3 @ flat).reshape(Y.shape) / scale
+            n5 = (r5 * r5).sum(axis=1)
+            denom = (n5 + 0.01 * (r3 * r3).sum(axis=1)) * Y.shape[1]
+            err = np.where(denom == 0.0, 0.0, h_try * n5 / np.sqrt(denom))
+            err[np.isnan(err)] = np.inf
+            accept = finite & ((err <= 1.0) | (h_try <= _H_MIN * 1.0000001))
+            forced += accept & (err > 1.0)
+            rejected += finite & ~accept
+            # fmax/fmin skip NaN the way the serial loop's max/min do; the
+            # floor also spares a zero error estimate a division by zero
+            factor = np.fmax(0.2, _SAFETY * np.maximum(err, 1e-10) ** _ERR_EXPONENT)
+            grow = np.fmin(np.where(retry, 1.0, 5.0), factor)
+            h = np.where(accept, h * grow, h_try * factor).clip(_H_MIN, _H_MAX)
+            retry = ~accept
 
         steps += accept
         t = np.where(accept, np.where(landing, cfg.t_max, t + h_try), t)

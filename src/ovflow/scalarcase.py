@@ -155,6 +155,15 @@ def reduced_flow(
     return ReducedTrajectory(**vars(result), f=f)
 
 
+def _checkpoint_grid(t_max: float, spacing: float) -> np.ndarray:
+    """Checkpoints about spacing apart from 0 to t_max, both ends included.
+    A grid of more than 1,000,001 points is refused before it is made."""
+    points = max(2, int(round(t_max / spacing)) + 1)
+    if points > 1_000_001:
+        raise ValueError(f"t_max {t_max:g} needs {points:,} checkpoints {spacing:g} apart; at most 1,000,001 are allowed")
+    return np.linspace(0.0, t_max, points)
+
+
 def match_reduction(cost: ScalarCost, state0: ScalarPairState, cfg: IntegratorConfig) -> float:
     """Max |z_full(t) - z_reduced(t)| over a shared time grid.
 
@@ -162,7 +171,7 @@ def match_reduction(cost: ScalarCost, state0: ScalarPairState, cfg: IntegratorCo
     sampled at the same checkpoint times, each by its own solver's
     continuous extension, so the comparison needs no interpolation here.
     """
-    grid = np.linspace(0.0, cfg.t_max, max(2, int(round(cfg.t_max / 0.01)) + 1))
+    grid = _checkpoint_grid(cfg.t_max, 0.01)
     full = full_flow(state0, cost, cfg, checkpoints=grid)
     reduced = reduced_flow(cost, conserved_D(state0), state0.z, cfg, checkpoints=grid)
 
@@ -225,7 +234,7 @@ def compare_acceleration(
     if c_low == 0.0 and z0 == 0.0:
         raise ValueError("c = 0 from z0 = 0 never moves")
 
-    grid = np.linspace(0.0, cfg.t_max, max(2, int(round(cfg.t_max / 0.005)) + 1))
+    grid = _checkpoint_grid(cfg.t_max, 0.005)
     low = reduced_flow(cost, c_low, z0, cfg, checkpoints=grid)
     high = reduced_flow(cost, c_high, z0, cfg, checkpoints=grid)
 

@@ -16,7 +16,6 @@ from ovflow.flow import read_trajectory_csv
 TARGET = [[2.0, 0.3], [-0.1, 1.0]]
 
 INTEGRATOR = {
-    "method": "dop853",
     "rtol": 1e-10,
     "atol": 1e-12,
     "h0": 1e-3,
@@ -51,6 +50,17 @@ def test_simulate_writes_a_decreasing_trajectory(tmp_path):
     assert data["t"][0] == 0.0
     assert np.all(np.diff(data["cost"]) <= 1e-11)
     assert data["grad_g_norm"][-1] < 1e-8
+
+
+def test_the_readme_run_configuration_is_valid(tmp_path, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("A run configuration is one JSON file", 1)[1]
+    (tmp_path / "run.json").write_text(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+    samples = int(re.search(r"this example writes\s+(\d+)\s+samples", section).group(1))
+    out = tmp_path / "traj.csv"
+    assert main(["simulate", "--config", str(tmp_path / "run.json"), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith(f"{samples} samples to ")
+    assert len(read_trajectory_csv(str(out))["t"]) == samples
 
 
 def test_simulate_baseline_flag(tmp_path):
@@ -121,10 +131,12 @@ def test_missing_integrator_key_is_a_usage_error(tmp_path):
 
 
 def test_the_retired_rk45_method_is_a_usage_error(tmp_path, capsys):
-    cfg = write_config(tmp_path, integrator=dict(INTEGRATOR, method="rk45"))
-    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
-    err = capsys.readouterr().err
-    assert "unknown method 'rk45'; use 'dop853'" in err and "Traceback" not in err
+    # DOP853 is the only integrator, so the method key is gone whatever it names
+    for method in ("rk45", "rk4", "dop853"):
+        cfg = write_config(tmp_path, integrator=dict(INTEGRATOR, method=method))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr().err == "error: unknown keys ['method'] in config.integrator\n"
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_missing_config_file(tmp_path):
@@ -158,22 +170,56 @@ BAD_INPUTS = {
     "fig2_grid1": ["recipe-fig2", "--grid", "1", "--outdir"],
     "accelerate_inf": ["accelerate", "--expr", "(1 - w)^2", "--z0", "0.5", "--c-low", "0", "--c-high", "inf", "--out"],
     "portrait_inf": ["phase-portrait", "--bounds=-inf:inf:-1:1", "--svg"],
+    # a 2e11-point checkpoint grid, refused before it is allocated
+    "accelerate_t_max_1e9": [
+        "accelerate", "--expr", "(1 - w)^2", "--z0", "0.5", "--c-low", "0", "--c-high", "1", "--t-max", "1e9", "--out",
+    ],
 }
+
+
+def _run_to_one_error_line(argv) -> str:
+    # a separate process with a timeout, so that an input that hangs fails the test
+    proc = subprocess.run([sys.executable, "-m", "ovflow.cli", *argv], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    # one line: no traceback and no warning
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    return proc.stderr
 
 
 @pytest.mark.parametrize("case", BAD_INPUTS)
 def test_bad_input_exits_1_with_a_message(tmp_path, case):
-    # a separate process with a timeout, so that an input that hangs fails the test
-    proc = subprocess.run(
-        [sys.executable, "-m", "ovflow.cli", *BAD_INPUTS[case], str(tmp_path / "out")],
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert proc.returncode == 1
-    # one line: no traceback and no warning
-    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    _run_to_one_error_line([*BAD_INPUTS[case], str(tmp_path / "out")])
     assert list(tmp_path.iterdir()) == []
+
+
+# the same for inputs that need a config file: each case gives the config's
+# overrides, the arguments before --config and a piece of the message
+BAD_CONFIG_INPUTS = {
+    "sweep_negative_runs": ({}, ["sweep", "--runs", "-3"], "run count must be nonnegative, got -3"),
+    "scale_beyond_float": (
+        {"init": {"mode": "random", "seed": 3, "scale": 10**400}}, ["simulate"], "config.init.scale is too large",
+    ),
+    "rtol_beyond_float": (
+        {"integrator": dict(INTEGRATOR, rtol=10**400)}, ["simulate"], "config.integrator.rtol is too large",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BAD_CONFIG_INPUTS)
+def test_bad_config_input_exits_1_with_a_message(tmp_path, case):
+    overrides, argv, message = BAD_CONFIG_INPUTS[case]
+    cfg = write_config(tmp_path, **overrides)
+    assert message in _run_to_one_error_line([*argv, "--config", cfg, "--out", str(tmp_path / "out")])
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_a_config_integer_of_too_many_digits_is_a_usage_error(tmp_path, capsys):
+    # json refuses to convert an integer string past Python's digit limit
+    cfg = Path(write_config(tmp_path))
+    cfg.write_text(cfg.read_text().replace('"seed": 3', '"seed": ' + "9" * 5000))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
+    assert "is not valid JSON" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 # sweep

@@ -15,7 +15,7 @@ CONFIG = {
     "cost": {"kind": "matrix_quadratic", "target": [[2.0, 0.3], [-0.1, 1.0]]},
     "net": {"n": 2, "k": 3, "depth": 2},
     "init": {"mode": "random", "seed": 3, "scale": 0.5},
-    "integrator": {"method": "dop853", "rtol": 1e-10, "atol": 1e-12, "h0": 1e-3, "t_max": 50.0,
+    "integrator": {"rtol": 1e-10, "atol": 1e-12, "h0": 1e-3, "t_max": 50.0,
                    "grad_tol": 1e-8, "max_steps": 1_000_000, "record_stride": 10},
 }
 

@@ -30,7 +30,8 @@ from ovflow.linnet import (
     product,
     random_init,
 )
-from ovflow.odeint import _TABLEAUS, IntegratorConfig, solve_flow, solve_flow_batch
+from ovflow import odeint
+from ovflow.odeint import IntegratorConfig, solve_flow, solve_flow_batch
 from ovflow.scalarcase import anti_balanced, reduced_flow, to_stack
 from ovflow.sigmoid import _sig_rhs, sig_integrate
 
@@ -85,15 +86,6 @@ def test_tighter_tolerance_means_smaller_drift():
     assert drift(loose) > 50.0 * drift(tight)
 
 
-def test_rk4_agrees_with_adaptive_method():
-    W0 = np.array([[0.5, 0.0], [0.0, 0.25]])
-    adaptive = IntegratorConfig(method="dop853", rtol=1e-10, atol=1e-12, t_max=5.0, grad_tol=1e-14)
-    fixed = IntegratorConfig(method="rk4", h0=1e-3, t_max=5.0, grad_tol=1e-14)
-    a = integrate_baseline(W0, COST, adaptive)
-    b = integrate_baseline(W0, COST, fixed)
-    assert np.abs(a.final.stack.layers[0] - b.final.stack.layers[0]).max() < 1e-9
-
-
 def test_record_stride_thins_sampling():
     stack0 = random_init(NetShape(2, 3, 2), seed=2, scale=0.5)
     cfg_all = IntegratorConfig(t_max=10.0, record_stride=1)
@@ -145,7 +137,6 @@ SWEEP_CASES = {
     "depth1": (NetShape(2, 2, 1), COST, SWEEP_CFG),
     "scalar": (NetShape(1, 2, 2), parse_scalar_cost("(1 - w)^2").as_matrix(), SWEEP_CFG),
     "mixed_stops": (NetShape(2, 3, 2), COST, MIXED_STOPS_CFG),
-    "rk4": (NetShape(2, 3, 2), COST, IntegratorConfig(method="rk4", h0=0.05, t_max=30.0, grad_tol=1e-6)),
 }
 
 
@@ -180,17 +171,9 @@ def test_integrate_batch_checks_its_stacks():
 
 
 def test_sweep_labels_diverging_runs_undecided():
-    _check_diverging_runs_undecided("dop853")
-
-
-def test_sweep_labels_diverging_runs_undecided_under_rk4():
-    _check_diverging_runs_undecided("rk4")
-
-
-def _check_diverging_runs_undecided(method):
     # f = -w^2 sends every start off to infinity; at scale 1e100 the field
     # already overflows at the start, and at 1e160 the product does too
-    cfg = IntegratorConfig(method=method, rtol=1e-8, atol=1e-10, t_max=50.0)
+    cfg = IntegratorConfig(rtol=1e-8, atol=1e-10, t_max=50.0)
     diverging = sweep(NetShape(1, 2, 2), parse_scalar_cost("-(w^2)").as_matrix(), cfg, range(4), scale=1.5)
     huge = sweep(NetShape(2, 3, 2), COST, cfg, [0, 1], scale=1e100)
     huger = sweep(NetShape(2, 3, 2), COST, cfg, [0], scale=1e160)
@@ -201,29 +184,13 @@ def _check_diverging_runs_undecided(method):
     assert [s.t for s in start.samples] == [0.0]
 
 
-BATCH_CASES = {
-    "dop853": (MIXED_STOPS_CFG, {"converged", "t_max", "max_steps"}),
-    # a fixed step brings every row to t_max after the same number of steps,
-    # so only convergence can end a row earlier
-    "rk4": (IntegratorConfig(method="rk4", h0=0.05, t_max=7.98, grad_tol=1e-6), {"converged", "t_max"}),
-}
-
-
 def test_batch_rows_step_like_serial_solves():
-    _check_batch_rows_step_like_serial_solves("dop853")
-
-
-def test_batch_rows_step_like_serial_solves_under_rk4():
-    _check_batch_rows_step_like_serial_solves("rk4")
-
-
-def _check_batch_rows_step_like_serial_solves(method):
-    cfg, reasons = BATCH_CASES[method]
+    cfg = MIXED_STOPS_CFG
     shape = NetShape(2, 3, 2)
     field = flow_field(shape, COST)
     Y0 = np.stack([pack(random_init(shape, seed=s, scale=0.5).layers) for s in range(12)])
     batch = solve_flow_batch(field, Y0, cfg)
-    assert {r.stop_reason for r in batch} == reasons
+    assert {r.stop_reason for r in batch} == {"converged", "t_max", "max_steps"}
     for y0, got in zip(Y0, batch):
         want = solve_flow(field, y0, cfg)
         assert (got.stop_reason, got.n_steps) == (want.stop_reason, want.n_steps)
@@ -231,7 +198,7 @@ def _check_batch_rows_step_like_serial_solves(method):
         np.testing.assert_allclose(got.y, want.y[-1:], rtol=0, atol=1e-9)
 
     # y' = y^2 blows up at t = 1/y0 for y0 > 0 and decays for y0 < 0
-    short = IntegratorConfig(method=method, t_max=5.0)
+    short = IntegratorConfig(t_max=5.0)
 
     def square(y, out):
         np.multiply(y, y, out=out)
@@ -443,11 +410,10 @@ def test_solver_stop_reasons():
     assert slow.t[-1] == 2.0
 
 
-@pytest.mark.parametrize("method", ["dop853", "rk4"])
-def test_field_norm_is_the_norm_of_the_field_at_every_sample(method):
+def test_field_norm_is_the_norm_of_the_field_at_every_sample():
     shape = NetShape(n=2, k=3, depth=3)
     field = flow_field(shape, COST)
-    cfg = IntegratorConfig(method=method, h0=0.01, t_max=2.0, grad_tol=1e-12, record_stride=3)
+    cfg = IntegratorConfig(h0=0.01, t_max=2.0, grad_tol=1e-12, record_stride=3)
     res = solve_flow(field, pack(random_init(shape, seed=4, scale=0.5).layers), cfg,
                      checkpoints=[0.05, 0.3, 1.0, 1.7])
     assert len(res.t) > 10
@@ -460,8 +426,6 @@ def test_field_norm_is_the_norm_of_the_field_at_every_sample(method):
 def test_solver_rejects_bad_inputs():
     with pytest.raises(ValueError):
         solve_flow(_decay, np.array([np.nan]), IntegratorConfig())
-    with pytest.raises(ValueError):
-        IntegratorConfig(method="euler")
     with pytest.raises(ValueError):
         IntegratorConfig(rtol=0.0)
     with pytest.raises(ValueError):
@@ -497,11 +461,9 @@ def test_checkpoints_do_not_change_the_steps():
     assert np.all(np.diff(dense.t) > 0)
 
 
-@pytest.mark.parametrize("method", ["dop853", "rk4"])
-def test_checkpoints_sample_the_continuous_extension(method):
-    # off the rk4 step grid, so the cubic Hermite interpolant is what is read
+def test_checkpoints_sample_the_continuous_extension():
     cps = np.linspace(0.0123, 5.0, 200)
-    cfg = IntegratorConfig(method=method, h0=0.005, t_max=5.0, grad_tol=1e-14)
+    cfg = IntegratorConfig(h0=0.005, t_max=5.0, grad_tol=1e-14)
     res = solve_flow(_decay, np.array([1.0]), cfg, checkpoints=cps)
     at_cps = np.searchsorted(res.t, cps)
     assert res.t[at_cps].tobytes() == cps.tobytes()
@@ -509,14 +471,13 @@ def test_checkpoints_sample_the_continuous_extension(method):
     assert res.field_norm[at_cps].tobytes() == np.abs(res.y[at_cps, 0]).tobytes()
 
 
-@pytest.mark.parametrize("method, value", [("dop853", 1e306), ("rk4", 1e308)])
-def test_an_overflowing_interpolant_stops_the_run(method, value):
+def test_an_overflowing_interpolant_stops_the_run():
     # the step's ends are finite, but the extension's terms overflow between them
-    cfg = IntegratorConfig(method=method, h0=1.0, t_max=1.0)
-    res = solve_flow(lambda y, out: out.fill(value), np.array([0.0]), cfg, checkpoints=[0.5])
+    cfg = IntegratorConfig(h0=1.0, t_max=1.0)
+    res = solve_flow(lambda y, out: out.fill(1e306), np.array([0.0]), cfg, checkpoints=[0.5])
     assert res.stop_reason == "non_finite"
     assert res.t.tolist() == [0.0] and res.y.tolist() == [[0.0]]
-    plain = solve_flow(lambda y, out: out.fill(value), np.array([0.0]), cfg)
+    plain = solve_flow(lambda y, out: out.fill(1e306), np.array([0.0]), cfg)
     assert plain.stop_reason == "t_max" and np.isfinite(plain.y).all()
 
 
@@ -543,8 +504,7 @@ def test_stop_when_is_asked_at_every_checkpoint():
     assert res.t[-1] == cps[np.searchsorted(cps, np.log(2.0))]
 
 
-@pytest.mark.parametrize("method", ["dop853", "rk4"])
-def test_nfev_counts_every_field_evaluation(method):
+def test_nfev_counts_every_field_evaluation():
     shape = NetShape(2, 3, 2)
     field = flow_field(shape, COST)
     evaluated = []  # rows per call
@@ -553,7 +513,7 @@ def test_nfev_counts_every_field_evaluation(method):
         evaluated.append(len(y) if y.ndim == 2 else 1)
         field(y, out)
 
-    cfg = IntegratorConfig(method=method, h0=0.05, rtol=1e-8, atol=1e-10, t_max=8.0, grad_tol=1e-6)
+    cfg = IntegratorConfig(h0=0.05, rtol=1e-8, atol=1e-10, t_max=8.0, grad_tol=1e-6)
     Y0 = np.stack([pack(random_init(shape, seed=s, scale=0.5).layers) for s in range(6)])
     serial = []
     for y0 in Y0:
@@ -567,7 +527,7 @@ def test_nfev_counts_every_field_evaluation(method):
     assert sum(r.nfev for r in batch) == sum(evaluated)
     for got, want in zip(batch, serial):
         assert (got.n_steps, got.n_rejected) == (want.n_steps, want.n_rejected)
-        assert got.nfev == 1 + len(_TABLEAUS[method].a) * (got.n_steps + got.n_rejected)
+        assert got.nfev == 1 + len(odeint._DOP853_A) * (got.n_steps + got.n_rejected)
 
 
 def test_steps_forced_at_the_minimum_step_are_counted():
@@ -669,11 +629,10 @@ def test_trajectories_carry_the_solver_counts():
 def test_dop853_coefficients_are_hairers():
     # scipy ships the same pair; it is read here only, never by the package
     coef = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
-    tab = _TABLEAUS["dop853"]
-    for i, row in enumerate(tab.a + tab.a_extra, start=1):
+    for i, row in enumerate(odeint._DOP853_A + odeint._DOP853_A_EXTRA, start=1):
         assert row.tobytes() == coef.A[i, :i].tobytes(), f"stage row {i}"
-    assert tab.b.tobytes() == np.append(coef.B, 0.0).tobytes()
-    for got, want in ((tab.e5, coef.E5), (tab.e3, coef.E3), (tab.d, coef.D)):
+    assert odeint._DOP853_B.tobytes() == np.append(coef.B, 0.0).tobytes()
+    for got, want in ((odeint._DOP853_E5, coef.E5), (odeint._DOP853_E3, coef.E3), (odeint._DOP853_D, coef.D)):
         assert got.tobytes() == want.tobytes()
 
 

@@ -96,6 +96,8 @@ def test_full_flow_matches_reduction():
     state0 = ScalarPairState(np.array([0.6, 0.0]), np.array([0.8, 0.0]))
     cfg = IntegratorConfig(rtol=1e-10, atol=1e-12, t_max=10.0)
     assert match_reduction(WELL, state0, cfg) < 1e-8
+    with pytest.raises(ValueError, match="at most 1,000,001"):  # refused before the grid is made
+        match_reduction(WELL, state0, IntegratorConfig(t_max=1e9))
 
 
 def test_width_one_stack_carries_the_degenerate_warning():
@@ -151,6 +153,8 @@ def test_compare_acceleration_guards():
         compare_acceleration(WELL, 1.0, 0.0, 3.0, cfg)  # z0 already critical
     with pytest.raises(ValueError):
         compare_acceleration(WELL, 0.0, 0.0, 3.0, cfg)  # frozen start needs the flag
+    with pytest.raises(ValueError, match="needs 200,000,000,001 checkpoints"):
+        compare_acceleration(WELL, 0.5, 0.0, 3.0, IntegratorConfig(t_max=1e9))
 
 
 def test_dichotomy_battery_passes_for_the_well():
