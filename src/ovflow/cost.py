@@ -546,9 +546,10 @@ class ScalarMatrixCost:
         """f'(w) per 1x1 matrix; W may be a stack of shape (B, 1, 1)."""
         return np.array([self.scalar.deriv(w) for w in W.ravel().tolist()]).reshape(W.shape)
 
-    def second_directional(self, W: np.ndarray, A: np.ndarray) -> float:
-        # second-order Taylor coefficient: f(w + a) = f + f' a + (f''/2) a^2
-        return 0.5 * self.scalar.second(float(W[0, 0])) * float(A[0, 0]) ** 2
+    def gradient_directional(self, W: np.ndarray, A: np.ndarray) -> np.ndarray:
+        """f''(w) A: the derivative of the gradient at W along A, or along
+        each matrix of a stack A of shape (B, 1, 1)."""
+        return self.scalar.second(float(W[0, 0])) * np.asarray(A, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -593,9 +594,10 @@ class QuadraticMatrixCost:
     def gradient(self, W: np.ndarray) -> np.ndarray:
         return self._check(W) - self.target
 
-    def second_directional(self, W: np.ndarray, A: np.ndarray) -> float:
-        # exact for a quadratic: f(W + A) = f(W) + <grad, A> + 0.5 ||A||^2
-        return 0.5 * float(np.sum(np.asarray(A, dtype=float) ** 2))
+    def gradient_directional(self, W: np.ndarray, A: np.ndarray) -> np.ndarray:
+        """The derivative of the gradient at W along A, which is A itself;
+        A may be a stack of shape (B, n, n)."""
+        return self._check(A)
 
 
 MatrixCost = Union[QuadraticMatrixCost, ScalarMatrixCost]

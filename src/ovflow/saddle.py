@@ -1,4 +1,4 @@
-"""Strict-saddle certificates for spurious critical points of two-layer flows.
+"""Strict-saddle certificates for spurious critical points of factored flows.
 
 At a critical point of g(W1, W2) = f(W2 W1) where grad f itself does not
 vanish, both layers must be rank deficient, and a descent direction can be
@@ -10,11 +10,12 @@ grad f(W2 W1), a unit vector gamma with gamma^T W1 = 0, and move along
 The second-order value of g along that direction is a q^3 + b q^4 with
 a = -sigma, so small q always buys strictly negative curvature; b is fit
 numerically from two evaluations of the quadratic form, and the curvature
-stays below -sigma q^3 / 2 for q below q_bar = sigma / (2 |b|).
+stays below -sigma q^3 / 2 for q below q_bar = sigma / (2 |b|). The escape
+direction is built for two-layer stacks only.
 
-``assemble_hessian`` provides the independent route: a finite-difference
-Hessian of g in stacked layer coordinates whose minimum eigenvalue can be
-compared against the algebraic certificate.
+The Hessian of g, at any depth, is exact: Hessian-vector products carried
+as tangents through the backward chain of ``layer_gradients``. The tests
+check it against a second-difference Hessian of the objective itself.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from ovflow.cost import MatrixCost
 from ovflow.csvio import write_csv
-from ovflow.linnet import LayerStack, flow_field, layer_gradients, pack, product, write_stack_csv
+from ovflow.linnet import LayerStack, layer_gradients, layer_shapes, pack, product, unpacker, write_stack_csv
 
 __all__ = [
     "SaddleCertificate",
@@ -41,7 +42,6 @@ __all__ = [
 
 _GRAD_TOL = 1e-8
 _GRADF_FLOOR = 1e-6
-_HESSIAN_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -66,35 +66,44 @@ class SaddleCertificate:
     is_strict_saddle: bool
 
 
-def _require_two_layers(stack: LayerStack) -> None:
-    if stack.shape.depth != 2:
-        raise ValueError("saddle certificates are implemented for two-layer stacks")
+def _hessian_products(layers, cost: MatrixCost, tangents) -> list[np.ndarray]:
+    """H M, exactly, for a batch of directions M given as one (B, rows, cols)
+    stack per layer; the products come back stacked the same way.
 
-
-def hessian_quadratic_form(
-    stack: LayerStack, cost: MatrixCost, M1: np.ndarray, M2: np.ndarray
-) -> float:
-    """Second-order Taylor coefficient of g along (M1, M2).
-
-    g(W1 + M1, W2 + M2) = g + <grad g, (M1, M2)> + form + higher order, with
-
-        form = <grad f(W), M2 M1> + f''(W)[A, A],   A = W2 M1 + M2 W1,
-
-    where f''[A, A] is the coefficient in f(W + A) = f + f'[A] + f''[A, A] + ...,
-    which every matrix cost supplies exactly as ``second_directional``.
+    Tangents ride along ``layer_gradients``' chain: dP_i = M_i P_{i-1} +
+    W_i dP_{i-1}, d(back) starts at ``cost.gradient_directional(W, dP_N)``,
+    and for i = N, ..., 2, (H M)_i = d(back) P_{i-1}^T + back dP_{i-1}^T and
+    d(back) = M_i^T back + W_i^T d(back); (H M)_1 is the last d(back).
     """
-    _require_two_layers(stack)
-    W1, W2 = stack.layers
-    M1 = np.asarray(M1, dtype=float)
-    M2 = np.asarray(M2, dtype=float)
-    if M1.shape != W1.shape or M2.shape != W2.shape:
-        raise ValueError("direction shapes must match the layer shapes")
+    prefix, dprefix = [layers[0]], [tangents[0]]
+    for W, M in zip(layers[1:], tangents[1:]):
+        dprefix.append(M @ prefix[-1] + W @ dprefix[-1])
+        prefix.append(W @ prefix[-1])
+    back = cost.gradient(prefix[-1])
+    dback = cost.gradient_directional(prefix[-1], dprefix[-1])
+    products = [None] * len(layers)
+    for i in range(len(layers) - 1, 0, -1):
+        products[i] = dback @ prefix[i - 1].T + back @ np.swapaxes(dprefix[i - 1], -1, -2)
+        dback = np.swapaxes(tangents[i], -1, -2) @ back + layers[i].T @ dback
+        back = layers[i].T @ back
+    products[0] = dback
+    return products
 
-    W = W2 @ W1
-    A = W2 @ M1 + M2 @ W1
-    B = M2 @ M1
-    first = float(np.sum(cost.gradient(W) * B))
-    return first + float(cost.second_directional(W, A))
+
+def hessian_quadratic_form(stack: LayerStack, cost: MatrixCost, *directions: np.ndarray) -> float:
+    """Second-order Taylor coefficient of g along M = (M_1, ..., M_N), one
+    matrix per layer:
+
+        g(W + M) = g + <grad g, M> + form + higher order,   form = <M, H M> / 2.
+
+    For two layers this is <grad f(W), M2 M1> + f''(W)[A, A] with
+    A = W2 M1 + M2 W1, the coefficient the escape direction is fit from.
+    """
+    tangents = [np.asarray(M, dtype=float) for M in directions]
+    if [M.shape for M in tangents] != layer_shapes(stack.shape):
+        raise ValueError("directions must match the layer shapes, one per layer")
+    products = _hessian_products(stack.layers, cost, [M[np.newaxis] for M in tangents])
+    return 0.5 * sum(float(np.sum(M * HM[0])) for M, HM in zip(tangents, products))
 
 
 def escape_direction(stack: LayerStack, cost: MatrixCost) -> EscapeDirection:
@@ -105,7 +114,8 @@ def escape_direction(stack: LayerStack, cost: MatrixCost) -> EscapeDirection:
     its smallest singular value; if that vector fails to annihilate W1 the
     input was not actually a critical point of the kind treated here.
     """
-    _require_two_layers(stack)
+    if stack.shape.depth != 2:
+        raise ValueError("escape directions are constructed for two-layer stacks")
     W1, W2 = stack.layers
     grads = layer_gradients(stack.layers, cost)
     grad_g = math.sqrt(sum(float(np.sum(g * g)) for g in grads))
@@ -157,34 +167,20 @@ def escape_direction(stack: LayerStack, cost: MatrixCost) -> EscapeDirection:
 
 
 def assemble_hessian(stack: LayerStack, cost: MatrixCost) -> np.ndarray:
-    """Central-difference Hessian of g in stacked (vec W1, vec W2) coordinates.
-
-    Differences the analytic layer gradient with step 1e-5, then
-    symmetrizes, so the result is exact to O(step^2) with no asymmetry
-    residue.
-    """
-    _require_two_layers(stack)
-    field = flow_field(stack.shape, cost)  # -grad g
-    x0 = pack(stack.layers)
-    dim = x0.size
-
-    H = np.empty((dim, dim))
-    down, up = np.empty(dim), np.empty(dim)
-    for j in range(dim):
-        step = np.zeros(dim)
-        step[j] = _HESSIAN_STEP
-        field(x0 - step, down)
-        field(x0 + step, up)
-        H[:, j] = (down - up) / (2.0 * _HESSIAN_STEP)
+    """Exact Hessian of g in the flat coordinates of ``pack``, at any depth:
+    column j is H e_j, all of them from one tangent pass, and the result is
+    symmetrized so no rounding asymmetry remains."""
+    dim = sum(layer.size for layer in stack.layers)
+    H = pack(_hessian_products(stack.layers, cost, unpacker(stack.shape)(np.eye(dim))))
     return 0.5 * (H + H.T)
 
 
 def certify_strict_saddle(stack: LayerStack, cost: MatrixCost) -> SaddleCertificate:
     """Combine the algebraic escape direction with the assembled Hessian.
 
-    is_strict_saddle requires both routes to agree: certified negative
+    is_strict_saddle requires both certificates: certified negative
     curvature along the constructed direction and a negative minimum
-    eigenvalue of the finite-difference Hessian.
+    eigenvalue of the exact Hessian.
     """
     escape = escape_direction(stack, cost)
     H = assemble_hessian(stack, cost)

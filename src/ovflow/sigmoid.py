@@ -106,30 +106,10 @@ def sig_integrate(w1: float, w2: float, cfg: IntegratorConfig) -> SigTrajectory:
 
 def origin_eigenvectors() -> tuple[np.ndarray, np.ndarray]:
     """(stable, unstable) unit eigenvectors of the field at the origin,
-    linearized by central differences with step 1e-6 and oriented into the
-    w1 > 0 half plane."""
-    h = 1e-6
-    jac = np.empty((2, 2))
-    plus, minus = np.empty(2), np.empty(2)
-    for j in range(2):
-        step = np.zeros(2)
-        step[j] = h
-        _sig_rhs(step, plus)
-        _sig_rhs(-step, minus)
-        jac[:, j] = (plus - minus) / (2.0 * h)
-    eigvals, eigvecs = np.linalg.eig(jac)
-    eigvals = eigvals.real
-    eigvecs = eigvecs.real
-    order = np.argsort(eigvals)
-    stable = eigvecs[:, order[0]]
-    unstable = eigvecs[:, order[-1]]
-    stable = stable / np.linalg.norm(stable)
-    unstable = unstable / np.linalg.norm(unstable)
-    if stable[0] < 0:
-        stable = -stable
-    if unstable[0] < 0:
-        unstable = -unstable
-    return stable, unstable
+    oriented into the w1 > 0 half plane. The field's Jacobian there is
+    [[0, 1], [1, 0]], with eigenvalues -1 along (1, -1) and +1 along (1, 1)."""
+    root = np.sqrt(2.0)
+    return np.array([1.0, -1.0]) / root, np.array([1.0, 1.0]) / root
 
 
 def separatrix_trace(

@@ -45,7 +45,28 @@ def fd_layer_gradients(layers, cost, eps=1e-6):
     return grads
 
 
+def fd_hessian(layers, cost, eps=1e-4):
+    """Hessian of chain_value in flat coordinates (every layer's entries,
+    row-major, first layer first) from central second differences."""
+    shapes = [np.shape(layer) for layer in layers]
+    x0 = np.concatenate([np.ravel(layer) for layer in layers]).astype(float)
+    splits = np.cumsum([np.prod(s, dtype=int) for s in shapes])[:-1]
+
+    def g(x):
+        return chain_value([part.reshape(s) for part, s in zip(np.split(x, splits), shapes)], cost)
+
+    steps = eps * np.eye(x0.size)
+    H = np.empty((x0.size, x0.size))
+    for a in range(x0.size):
+        for b in range(a, x0.size):
+            ea, eb = steps[a], steps[b]
+            second = g(x0 + ea + eb) - g(x0 + ea - eb) - g(x0 - ea + eb) + g(x0 - ea - eb)
+            H[a, b] = H[b, a] = second / (4.0 * eps * eps)
+    return H
+
+
 def rel_err(got, want):
     got = np.asarray(got, dtype=float)
     want = np.asarray(want, dtype=float)
     return float(np.linalg.norm(got - want) / max(1.0, np.linalg.norm(want)))
+

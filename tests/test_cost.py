@@ -1,6 +1,7 @@
 """Expression parsing, symbolic differentiation, and the gradient-dominance scan."""
 
 import math
+import operator
 import pickle
 
 import numpy as np
@@ -9,8 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ovflow.cost import (
+    Add,
+    Div,
+    Mul,
+    Neg,
+    Num,
     ParseError,
+    Pow,
     QuadraticMatrixCost,
+    Sub,
+    Var,
     evaluate,
     parse_scalar_cost,
     pdpli_check,
@@ -130,6 +139,55 @@ def test_second_derivative_matches_fd_of_first(w):
     assert abs(cost.second(w) - fd) <= 1e-5 * max(1.0, abs(cost.second(w)))
 
 
+# expression text drawn from the grammar; constants are short dyadic
+# numbers, so folding them in floating point is exact except where one is
+# divided by another
+_CONSTANTS = st.sampled_from(["0", "1", "2", "3", "0.5", "1.5"])
+
+
+def _grow(children):
+    return st.one_of(
+        st.tuples(children, st.sampled_from(["+", "-", "*", "/"]), children).map(" ".join),
+        st.tuples(children, st.integers(-2, 4)).map(lambda t: f"({t[0]})^{t[1]}"),
+        children.map(lambda text: f"-{text}"),
+    )
+
+
+EXPRESSIONS = st.recursive(st.one_of(st.just("w"), _CONSTANTS), _grow, max_leaves=8)
+_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
+
+
+def _to_sympy(expr, sympy, w):
+    """The tree as a sympy expression, each constant its double's exact value."""
+    if isinstance(expr, Num):
+        return sympy.Rational(expr.value)
+    if isinstance(expr, Var):
+        return w
+    if isinstance(expr, Neg):
+        return -_to_sympy(expr.arg, sympy, w)
+    if isinstance(expr, Pow):
+        return _to_sympy(expr.base, sympy, w) ** expr.exponent
+    return _BINARY[type(expr)](_to_sympy(expr.left, sympy, w), _to_sympy(expr.right, sympy, w))
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=EXPRESSIONS)
+def test_symbolic_derivatives_match_sympy(text):
+    # exact rational values at dyadic probes; a probe where either side is
+    # singular (a pole, or 0/0 that sympy cancelled) is skipped
+    sympy = pytest.importorskip("sympy")
+    w = sympy.Symbol("w")
+    cost = parse_scalar_cost(text)
+    f = _to_sympy(cost.expression, sympy, w)
+    for ours, order in ((cost.derivative, 1), (cost.second_derivative, 2)):
+        got_expr, want_expr = _to_sympy(ours, sympy, w), sympy.diff(f, w, order)
+        for probe in (-1.5, -0.5, 0.25, 1.25, 2.5):
+            at = sympy.Rational(probe)
+            got, want = got_expr.subs(w, at), want_expr.subs(w, at)
+            if got.is_finite and want.is_finite:
+                assert abs(got - want) <= 1e-12 * max(1, abs(want)), (text, order, probe)
+
+
 EDGE_FLOATS = [0.0, -0.0, 1.0, -1.0, 1e308, -1e308, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-200]
 
 
@@ -209,10 +267,13 @@ def test_quadratic_cost_values_and_gradient():
     np.testing.assert_allclose(cost.gradient(W), grad_fd, atol=1e-9)
 
 
-def test_quadratic_cost_second_directional():
-    cost = QuadraticMatrixCost(np.eye(2))
-    A = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert cost.second_directional(np.zeros((2, 2)), A) == pytest.approx(15.0)  # 0.5 ||A||^2
+def test_quadratic_cost_gradient_directional():
+    cost = QuadraticMatrixCost(np.array([[2.0, 0.3], [-0.1, 1.0]]))
+    W = np.array([[1.0, -0.5], [0.25, 2.0]])
+    A = np.random.default_rng(0).normal(size=(3, 2, 2))
+    fd = fd_scalar_derivative(lambda t: cost.gradient(W + t * A), 0.0)
+    np.testing.assert_allclose(cost.gradient_directional(W, A), fd, atol=1e-8)
+    np.testing.assert_allclose(cost.gradient_directional(W, A[0]), fd[0], atol=1e-8)
 
 
 def test_quadratic_cost_rejects_bad_targets():
@@ -229,8 +290,10 @@ def test_scalar_cost_as_matrix_adapter():
     W = np.array([[0.25]])
     assert mat.value(W) == pytest.approx(cost.value(0.25))
     np.testing.assert_allclose(mat.gradient(W), [[cost.deriv(0.25)]])
-    A = np.array([[0.3]])
-    assert mat.second_directional(W, A) == pytest.approx(0.5 * cost.second(0.25) * 0.09)
+    A = np.array([0.3, -1.0, 2.0]).reshape(3, 1, 1)
+    fd = fd_scalar_derivative(lambda t: mat.gradient(W + t * A), 0.0)
+    np.testing.assert_allclose(mat.gradient_directional(W, A), fd, rtol=1e-8)
+    np.testing.assert_allclose(mat.gradient_directional(W, A[0]), fd[0], rtol=1e-8)
 
 
 # gradient-dominance scan

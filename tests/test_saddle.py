@@ -1,14 +1,16 @@
 """Strict-saddle certificates: the explicit descent direction against the
-finite-difference Hessian, and the dynamics actually escaping."""
+exact Hessian, the Hessian against a second-difference oracle at every
+depth, and the dynamics actually escaping."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from ovflow.cost import QuadraticMatrixCost
+from ovflow.cost import QuadraticMatrixCost, parse_scalar_cost
 from ovflow.flow import integrate
-from ovflow.linnet import LayerStack, NetShape, balanced_init
+from ovflow.linnet import DegenerateWidthWarning, LayerStack, NetShape, balanced_init, layer_shapes
 from ovflow.odeint import IntegratorConfig
 from ovflow.saddle import (
     assemble_hessian,
@@ -18,11 +20,15 @@ from ovflow.saddle import (
     write_certificate_csv,
 )
 
+from _oracles import fd_hessian, rel_err
+
 SHAPE = NetShape(2, 3, 2)
+QUARTIC = "(w - 1)^4 + (w - 1)^2"
 
 
-def zero_stack():
-    return LayerStack(SHAPE, (np.zeros((3, 2)), np.zeros((2, 3))))
+def zero_stack(n=2, k=3, depth=2):
+    shape = NetShape(n, k, depth)
+    return LayerStack(shape, tuple(np.zeros(dims) for dims in layer_shapes(shape)))
 
 
 def rank_one_saddle():
@@ -50,25 +56,71 @@ def test_quadratic_form_frozen_value_at_origin():
     assert form == pytest.approx(-0.125, abs=1e-12)
 
 
+def random_stack(shape, rng):
+    return LayerStack(shape, tuple(rng.normal(0, 0.7, dims) for dims in layer_shapes(shape)))
+
+
 def test_quadratic_form_matches_assembled_hessian():
-    # for the exactly-quadratic cost, form = 0.5 x^T H x at any point
+    # form = 0.5 x^T H x, against the oracle's second-difference Hessian
     cost = QuadraticMatrixCost(np.array([[2.0, 0.3], [-0.1, 1.0]]))
     rng = np.random.default_rng(0)
-    stack = LayerStack(SHAPE, (rng.normal(0, 0.5, (3, 2)), rng.normal(0, 0.5, (2, 3))))
-    H = assemble_hessian(stack, cost)
-    np.testing.assert_allclose(H, H.T)
-    for _ in range(5):
-        M1 = rng.normal(0, 1, (3, 2))
-        M2 = rng.normal(0, 1, (2, 3))
-        x = np.concatenate([M1.ravel(), M2.ravel()])
-        form = hessian_quadratic_form(stack, cost, M1, M2)
-        assert form == pytest.approx(0.5 * x @ H @ x, abs=1e-8)
+    for shape in (SHAPE, NetShape(2, 3, 3)):
+        stack = random_stack(shape, rng)
+        H = fd_hessian(stack.layers, cost)
+        for _ in range(5):
+            M = [rng.normal(0, 1, dims) for dims in layer_shapes(shape)]
+            x = np.concatenate([m.ravel() for m in M])
+            form = hessian_quadratic_form(stack, cost, *M)
+            assert form == pytest.approx(0.5 * x @ H @ x, rel=1e-6, abs=1e-8)
+
+
+def test_assemble_hessian_matches_the_oracle_at_every_depth():
+    rng = np.random.default_rng(1)
+    quartic = parse_scalar_cost(QUARTIC).as_matrix()
+    for depth in (1, 2, 3, 4):
+        for n in (1, 2):
+            for k in {n, n + 1} if depth > 1 else {n}:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", DegenerateWidthWarning)
+                    shape = NetShape(n, k, depth)
+                costs = [QuadraticMatrixCost(np.eye(n) + rng.normal(0, 0.3, (n, n)))]
+                if n == 1:
+                    costs.append(quartic)
+                for cost in costs:
+                    stack = random_stack(shape, rng)
+                    H = assemble_hessian(stack, cost)
+                    assert rel_err(H, fd_hessian(stack.layers, cost)) < 1e-6, (shape, cost)
+
+
+def test_hessian_vanishes_at_deep_zero_stacks():
+    # every term of the Hessian keeps N - 2 of the zero layers as factors
+    for depth in (3, 4):
+        for cost, n in ((QuadraticMatrixCost(np.diag([3.0, 1.0])), 2), (parse_scalar_cost(QUARTIC).as_matrix(), 1)):
+            H = assemble_hessian(zero_stack(n, 3, depth), cost)
+            assert H.size and np.array_equal(H, np.zeros_like(H))
+
+
+def test_origin_hessian_is_universal_across_scalar_costs():
+    # at the origin H_g = f'(0) H_z: the costs differ only by that factor
+    texts = ["(1 - w)^2", "(2 - w)^2", "(1 + w)^2 - 0.5*w", QUARTIC, "w^2 - 3*w + 7"]
+    origin = zero_stack(1, 3, 2)
+    scaled = []
+    for text in texts:
+        cost = parse_scalar_cost(text)
+        scaled.append(assemble_hessian(origin, cost.as_matrix()) / cost.deriv(0.0))
+    for H in scaled[1:]:
+        assert np.array_equal(H, scaled[0])
+    eigs = np.linalg.eigvalsh(scaled[0])
+    tol = 1e-12 * np.abs(eigs).max()
+    assert (int(np.sum(eigs < -tol)), int(np.sum(np.abs(eigs) <= tol)), int(np.sum(eigs > tol))) == (3, 0, 3)
 
 
 def test_direction_shape_validation():
     cost = QuadraticMatrixCost(np.eye(2))
     with pytest.raises(ValueError):
         hessian_quadratic_form(zero_stack(), cost, np.zeros((2, 2)), np.zeros((2, 3)))
+    with pytest.raises(ValueError):
+        hessian_quadratic_form(zero_stack(), cost, np.zeros((3, 2)))
 
 
 def test_escape_direction_at_the_origin():
@@ -101,10 +153,8 @@ def test_escape_direction_refuses_minimizers():
 def test_two_layers_required():
     cost = QuadraticMatrixCost(np.eye(2))
     deep = balanced_init(np.eye(2) + 0.1, NetShape(2, 3, 3), seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="two-layer"):
         escape_direction(deep, cost)
-    with pytest.raises(ValueError):
-        assemble_hessian(deep, cost)
 
 
 def test_rank_one_saddle_quartic_coefficient():
@@ -130,7 +180,7 @@ def test_certificates_at_zero_stacks():
         assert cert.curvature == pytest.approx(-sigma, abs=1e-8)
         # the assembled Hessian at the origin pairs off cross blocks; its
         # bottom eigenvalue is minus the top singular value of the target
-        assert cert.min_eig == pytest.approx(-sigma, abs=1e-6)
+        assert cert.min_eig == pytest.approx(-sigma, abs=1e-12)
 
 
 def test_certificate_at_rank_one_saddle():
@@ -138,7 +188,7 @@ def test_certificate_at_rank_one_saddle():
     cert = certify_strict_saddle(rank_one_saddle(), cost)
     assert cert.is_strict_saddle
     assert cert.curvature < -1e-10
-    assert cert.min_eig == pytest.approx(-1.0, abs=1e-6)
+    assert cert.min_eig == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_flow_escapes_along_the_certified_direction():

@@ -94,8 +94,19 @@ def test_stable_branch_flows_to_the_origin():
 def test_origin_eigenvectors():
     stable, unstable = origin_eigenvectors()
     root2 = math.sqrt(2.0)
-    np.testing.assert_allclose(stable, [1.0 / root2, -1.0 / root2], atol=1e-5)
-    np.testing.assert_allclose(unstable, [1.0 / root2, 1.0 / root2], atol=1e-5)
+    np.testing.assert_array_equal(stable, [1.0 / root2, -1.0 / root2])
+    np.testing.assert_array_equal(unstable, [1.0 / root2, 1.0 / root2])
+
+
+def test_field_jacobian_at_the_origin():
+    # the closed-form eigenvectors rest on this linearization
+    h = 1e-6
+    jac = np.empty((2, 2))
+    for j in range(2):
+        step = np.zeros(2)
+        step[j] = h
+        jac[:, j] = (np.array(sig_flow_field(*step)) - np.array(sig_flow_field(*-step))) / (2.0 * h)
+    np.testing.assert_allclose(jac, [[0.0, 1.0], [1.0, 0.0]], atol=1e-9)
 
 
 def test_separatrix_matches_the_closed_form():
