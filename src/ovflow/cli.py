@@ -308,7 +308,8 @@ def _cmd_simulate(args) -> int:
     final = traj.final
     print(
         f"{len(traj.t)} samples to {args.out}; stop={traj.stop_reason} "
-        f"t={final.t:.6g} cost={final.cost:.6g} grad_g={final.grad_norm:.3g}"
+        f"t={final.t:.6g} cost={final.cost:.6g} grad_g={final.grad_norm:.3g} "
+        f"steps={traj.n_steps} nfev={traj.nfev} rejected={traj.n_rejected} forced={traj.n_forced}"
     )
     if traj.stop_reason == "non_finite":
         raise NumericalFailure("trajectory left the finite domain; partial CSV written")

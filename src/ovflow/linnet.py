@@ -24,6 +24,7 @@ import csv
 import operator
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -168,8 +169,10 @@ def layer_gradients(
     back = W_i^T back; grad_1 is the last back. Each layer may also be a
     stack of shape (B, rows, cols), one matrix per flow of a batch; the
     gradients then come back stacked the same way. Given ``out``, one
-    C-contiguous array per layer, the gradients are written into it and it
-    is returned.
+    writeable float array per layer, of that layer's shape, the gradients
+    are written into it and it is returned. For 2-D layers each must be
+    C-contiguous, since ``ndarray.dot`` writes into nothing else; a stack's
+    may be strided, such as the (B, rows, cols) views of a batch's rows.
 
     The matrices are tiny, so a product's cost is numpy's dispatch, not its
     flops: 2-D layers take ``ndarray.dot``, which has about half the
@@ -178,30 +181,65 @@ def layer_gradients(
     ``matmul``, because ``dot`` on 3-D arrays is not a batched product, and
     ``swapaxes``.
     """
+    if out is None:
+        out = [np.empty(layer.shape) for layer in layers]
+    _bind_chain(_bind_layers(layers), cost, out)()
+    return list(out)
+
+
+def _bind_layers(layers: Sequence[np.ndarray]) -> tuple:
+    """The part of the backward chain over ``layers`` that does not depend
+    on where the gradients go: the product routine, the forward products
+    into new prefix buffers P_2, ..., P_N, the transposes, and new buffers
+    for the N - 2 backs before grad_1. Chains that never run at once may
+    share it."""
     depth = len(layers)
     if depth == 1:
-        grad = np.asarray(cost.gradient(layers[0]))
-        if out is not None:
-            out[0][...] = grad
-            grad = out[0]
-        return [grad]
-
-    if out is None:
-        out = [None] * depth
+        return (layers[0],)
     if layers[0].ndim == 2:
         mul, flip = np.ndarray.dot, _TRANSPOSE
     else:
         mul, flip = np.matmul, _SWAP_LAST
-    prefix = [layers[0]]  # prefix[i] = W_{i+1} ... W_1
-    for layer in layers[1:]:
-        prefix.append(mul(layer, prefix[-1]))
-    back = cost.gradient(prefix.pop())
-    grads = list(out)
-    for i in range(depth - 1, 0, -1):
-        grads[i] = mul(back, flip(prefix[i - 1]), out=out[i])
-        back = mul(flip(layers[i]), back, out=out[0] if i == 1 else None)
-    grads[0] = back
-    return grads
+    lead, n = layers[0].shape[:-2], layers[0].shape[-1]
+    prefix = [layers[0], *(np.empty(lead + (layer.shape[-2], n)) for layer in layers[1:])]  # W_i ... W_1
+    forward = tuple((layers[i], prefix[i - 1], prefix[i]) for i in range(1, depth))
+    backs = [np.empty(lead + (layer.shape[-1], n)) for layer in layers[2:]]
+    return mul, forward, prefix[-1], [flip(p) for p in prefix[:-1]], [flip(w) for w in layers], backs
+
+
+def _bind_chain(bound: tuple, cost, out: Sequence[np.ndarray]) -> Callable[[], None]:
+    """``layer_gradients``' chain into ``out`` over layers bound by
+    ``_bind_layers``: the returned function replays its products in the
+    same order into the same arrays, reading whatever the layers hold when
+    it is called."""
+    gradient = cost.gradient
+    if len(bound) == 1:
+        W, grad = bound[0], out[0]
+
+        def run_bare() -> None:
+            grad[...] = gradient(W)
+
+        return run_bare
+
+    mul, forward, top, prefix_t, layer_t, backs = bound
+    back = [out[0], *backs]  # back[i] = W_{i+2}^T ... W_N^T grad f(W)
+    backward = []
+    for i in range(len(back) - 1, 0, -1):
+        backward.append((back[i], prefix_t[i - 1], out[i]))
+        backward.append((layer_t[i], back[i], back[i - 1]))
+    head = (prefix_t[-1], out[-1], layer_t[-1], back[-1])
+    return partial(_replay, mul, gradient, forward, top, head, tuple(backward))
+
+
+def _replay(mul, gradient, forward, top, head, backward) -> None:
+    for a, b, into in forward:
+        mul(a, b, into)
+    grad_f = gradient(top)
+    top_t, last_grad, last_t, last_back = head
+    mul(grad_f, top_t, last_grad)
+    mul(last_t, grad_f, last_back)
+    for a, b, into in backward:
+        mul(a, b, into)
 
 
 # The flat state is the layers' entries, row-major, first layer first, along
@@ -230,9 +268,10 @@ def unpacker(shape: NetShape) -> Callable[[np.ndarray], list[np.ndarray]]:
 
 
 # The most arrays a flow field keeps layer views of; past that it forgets the
-# one bound first. A serial dop853 solve with checkpoints passes the same 19
-# arrays on every call; a batched solve passes 15, and 13 new ones each time
-# rows leave the batch. A caller that passes fresh arrays rebinds on every call.
+# one bound first, and with it the chains that read or write that array. A
+# serial dop853 solve with checkpoints passes the same 19 arrays on every
+# call; a batched solve passes 15, and 13 new ones each time rows leave the
+# batch. A caller that passes fresh arrays rebinds on every call.
 _MAX_BOUND = 24
 
 
@@ -241,23 +280,45 @@ def flow_field(shape: NetShape, cost) -> Callable[[np.ndarray, np.ndarray], None
     batch: ``field(y, out)`` writes the field at y into out.
 
     The layer views of each array the field sees are made once and kept,
-    keyed by the array's id; the binding holds the array, so its id cannot
-    be reused while bound, and past ``_MAX_BOUND`` arrays the oldest binding
-    is dropped.
+    keyed by the array's id. So is one bound ``layer_gradients`` chain per
+    (y, out) pair, and the chain's work arrays per y, which all of y's
+    chains share: a solve replays prebuilt chains. A binding holds its
+    arrays, so their ids cannot be reused while bound; past ``_MAX_BOUND``
+    arrays the oldest binding is dropped with every chain that uses it.
     """
     unpack = unpacker(shape)
     bound: dict[int, tuple[np.ndarray, list[np.ndarray]]] = {}
+    work: dict[int, tuple] = {}  # id(y) -> _bind_layers of its views
+    chains: dict[int, dict[int, Callable[[], None]]] = {}  # id(y) -> id(out) -> chain
 
     def views(arr: np.ndarray) -> list[np.ndarray]:
         entry = bound.get(id(arr))
-        if entry is None or entry[0] is not arr:
+        if entry is None:
             if len(bound) >= _MAX_BOUND:
-                del bound[next(iter(bound))]
+                gone = next(iter(bound))
+                del bound[gone]
+                work.pop(gone, None)
+                chains.pop(gone, None)
+                for by_out in chains.values():
+                    by_out.pop(gone, None)
             entry = bound[id(arr)] = (arr, unpack(arr))
         return entry[1]
 
+    def bind(y: np.ndarray, out: np.ndarray) -> Callable[[], None]:
+        layers, grads = views(y), views(out)
+        if id(y) not in bound:  # binding out dropped y, the oldest binding
+            return _bind_chain(_bind_layers(layers), cost, grads)
+        if id(y) not in work:
+            work[id(y)], chains[id(y)] = _bind_layers(layers), {}
+        run = chains[id(y)][id(out)] = _bind_chain(work[id(y)], cost, grads)
+        return run
+
     def field(y: np.ndarray, out: np.ndarray) -> None:
-        layer_gradients(views(y), cost, out=views(out))
+        try:
+            run = chains[id(y)][id(out)]
+        except KeyError:
+            run = bind(y, out)
+        run()
         np.negative(out, out=out)
 
     return field

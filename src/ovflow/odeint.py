@@ -13,10 +13,12 @@ A field is called as ``field(y, out)`` and writes the field at y into out,
 an array of y's shape; its return value is ignored. Within one solve the
 loops pass the same arrays again and again: one stage-input buffer, the
 rows of one stage array and, for checkpoints, one output buffer, each made
-once (the batched loop makes them anew when rows leave the batch). A field
-may therefore keep per-array work, such as views of its own structures,
-keyed by array identity. It must not keep the arrays' contents: the loops
-rewrite them between calls.
+once (the batched loop makes them anew when rows leave the batch), and so
+the same few (y, out) pairs: after the first call, the stage-input buffer
+with each later stage row or the output buffer. A field may therefore keep
+work keyed by array identity, per array (views of its own structures) or
+per pair (a computation bound to both). It must not keep the arrays'
+contents: the loops rewrite them between calls.
 
 The solver stops on whichever comes first: the field norm dropping below
 ``grad_tol`` (convergence), reaching ``t_max``, exhausting ``max_steps``,
@@ -197,6 +199,13 @@ def _finite(arr: np.ndarray) -> bool:
     return bool(np.isfinite(arr).all())
 
 
+def _finite_by(size: float, arr: np.ndarray) -> bool:
+    """Whether arr is finite, given its norm or sum of squares: a finite one
+    has only finite terms, and only an overflowing or non-finite one needs
+    the entries checked."""
+    return math.isfinite(size) or _finite(arr)
+
+
 Field = Callable[[np.ndarray, np.ndarray], None]
 
 
@@ -258,8 +267,13 @@ def solve_flow(
     step_stages = stages[:n_stages]
     outs = list(stages)  # the field's output arrays, the same on every call
     first, last = outs[0], outs[n_stages - 1]
+    # each stage's input is y + h * row.dot(the stages before it); its field goes to the next row
+    combos = [(row.dot, prior[i], outs[i + 1]) for i, row in enumerate(_DOP853_A)]
+    dense_combos = [(row.dot, prior[i], outs[i + 1]) for i, row in enumerate(_DOP853_A_EXTRA, len(_DOP853_A))]
     y_stage, cp_out = np.empty_like(y), np.empty_like(y)
     ctrl = np.empty(1)
+    # numpy scales an array by a 0-d array faster than by a float, with the same rounding
+    atol, rtol = np.array(cfg.atol), np.array(cfg.rtol)
     steps = rejected = forced = 0
     nfev = 1
     # blowups are expected to overflow in the field; the finiteness checks
@@ -277,6 +291,7 @@ def solve_flow(
 
     t = 0.0
     h = min(max(cfg.h0, _H_MIN), _H_MAX)
+    abs_y = np.abs(y)  # carried over from each accepted step
     retry = False  # the last try was rejected
     cp_idx = 0
 
@@ -288,21 +303,24 @@ def solve_flow(
         landing = t + h >= cfg.t_max - 1e-14 * max(1.0, cfg.t_max)
         h_try = cfg.t_max - t if landing else h
 
+        h_0d = np.array(h_try)
         with np.errstate(over="ignore", invalid="ignore"):
-            for i, row in enumerate(_DOP853_A):
-                np.add(y, h_try * row.dot(prior[i]), out=y_stage)
-                field(y_stage, outs[i + 1])
-            nfev += len(_DOP853_A)
-            y_new = y + h_try * _DOP853_B.dot(step_stages)
+            for dot, stages_before, out in combos:
+                np.add(y, h_0d * dot(stages_before), out=y_stage)
+                field(y_stage, out)
+            nfev += len(combos)
+            y_new = y + h_0d * _DOP853_B.dot(step_stages)
             fnorm_new = math.sqrt(last.dot(last))
-            scale = cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(y_new))
+            finite = _finite_by(fnorm_new, last) and _finite_by(y_new.dot(y_new), y_new)
+            abs_new = np.abs(y_new)
+            scale = atol + rtol * np.maximum(abs_y, abs_new)
             r5, r3 = _DOP853_E5.dot(step_stages) / scale, _DOP853_E3.dot(step_stages) / scale
             # summed as the batched loop sums a row, not by ndarray.dot
             n5 = np.add.reduce(r5 * r5)
             denom = (n5 + 0.01 * np.add.reduce(r3 * r3)) * y.size
             err = h_try * n5 / math.sqrt(denom) if denom else 0.0  # 0 only when both estimates are
 
-        if not (_finite(y_new) and _finite(last)):
+        if not finite:
             record(t, y, fnorm)
             return finish("non_finite")
         if math.isnan(err):
@@ -319,10 +337,10 @@ def solve_flow(
             end = bisect_left(cps, t, cp_idx)  # checkpoints inside the step
             if end > cp_idx:
                 with np.errstate(over="ignore", invalid="ignore"):
-                    for i, row in enumerate(_DOP853_A_EXTRA, len(_DOP853_A)):
-                        np.add(y, h_try * row.dot(prior[i]), out=y_stage)
-                        field(y_stage, outs[i + 1])
-                    nfev += len(_DOP853_A_EXTRA)
+                    for dot, stages_before, out in dense_combos:
+                        np.add(y, h_0d * dot(stages_before), out=y_stage)
+                        field(y_stage, out)
+                    nfev += len(dense_combos)
                     dy = y_new - y
                     hermite = (dy, h_try * first - dy, 2.0 * dy - h_try * (last + first))
                     coef = np.vstack((*hermite, h_try * _DOP853_D.dot(stages)))
@@ -330,23 +348,23 @@ def solve_flow(
                     weights = np.where(_EVEN_ROWS, x[:, None], 1.0 - x[:, None]).cumprod(axis=1)
                     dense = y + weights.dot(coef)
                     for j, (t_cp, y_cp) in enumerate(zip(cps[cp_idx:end], dense)):
-                        finite = _finite(y_cp)
+                        finite = _finite_by(y_cp.dot(y_cp), y_cp)
                         if finite:
                             y_stage[...] = y_cp
                             field(y_stage, cp_out)
                             nfev += 1
-                            finite = _finite(cp_out)
+                            fnorm_cp = math.sqrt(cp_out.dot(cp_out))
+                            finite = _finite_by(fnorm_cp, cp_out)
                         if not finite:
                             if j == 0:  # else the last checkpoint is the last finite sample
                                 record(t_old, y, fnorm)
                             return finish("non_finite")
-                        fnorm_cp = math.sqrt(cp_out.dot(cp_out))
                         record(t_cp, y_cp, fnorm_cp)
                         if fnorm_cp < cfg.grad_tol:
                             return finish("converged")
                         if stop_when is not None and stop_when(t_cp, y_cp):
                             return finish("stopped")
-            y = y_new
+            y, abs_y = y_new, abs_new
             first[...] = last  # first-same-as-last
             fnorm = fnorm_new
 

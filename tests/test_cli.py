@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ovflow.cli import console_main, main
-from ovflow.flow import read_trajectory_csv
+from ovflow.cli import build_initial_stack, console_main, load_config, main
+from ovflow.flow import integrate, integrate_baseline, read_trajectory_csv
+from ovflow.linnet import product
 
 TARGET = [[2.0, 0.3], [-0.1, 1.0]]
 
@@ -59,8 +60,27 @@ def test_the_readme_run_configuration_is_valid(tmp_path, capsys):
     samples = int(re.search(r"this example writes\s+(\d+)\s+samples", section).group(1))
     out = tmp_path / "traj.csv"
     assert main(["simulate", "--config", str(tmp_path / "run.json"), "--out", str(out)]) == 0
-    assert capsys.readouterr().out.startswith(f"{samples} samples to ")
+    printed = capsys.readouterr().out
+    assert printed.startswith(f"{samples} samples to ")
     assert len(read_trajectory_csv(str(out))["t"]) == samples
+    example = re.search(r"```text\n(.*?)\n```", section, re.S).group(1)
+    assert printed.split(" steps=")[1] == example.split(" steps=")[1] + "\n"
+
+
+@pytest.mark.parametrize("baseline", [False, True], ids=["factored", "baseline"])
+def test_simulate_prints_the_solver_counts(tmp_path, capsys, baseline):
+    cfg = write_config(tmp_path, integrator=dict(INTEGRATOR, h0=1.0))  # a first step too long to keep
+    out = tmp_path / "traj.csv"
+    assert main(["simulate", "--config", cfg, "--out", str(out)] + ["--baseline"] * baseline) == 0
+    config = load_config(cfg)
+    stack0 = build_initial_stack(config)
+    if baseline:
+        traj = integrate_baseline(product(stack0.layers), config.cost, config.integrator)
+    else:
+        traj = integrate(stack0, config.cost, config.integrator)
+    want = f"steps={traj.n_steps} nfev={traj.nfev} rejected={traj.n_rejected} forced={traj.n_forced}"
+    assert capsys.readouterr().out.rstrip("\n").endswith(" " + want)
+    assert traj.n_rejected > 0  # every count is exercised
 
 
 def test_simulate_baseline_flag(tmp_path):

@@ -481,6 +481,33 @@ def test_an_overflowing_interpolant_stops_the_run():
     assert plain.stop_reason == "t_max" and np.isfinite(plain.y).all()
 
 
+@pytest.mark.parametrize("field", [
+    lambda y, out: out.fill(1.0),  # the state's sum of squares overflows
+    lambda y, out: np.multiply(y, 1e-3, out=out),  # the field's too
+], ids=["state", "state_and_field"])
+def test_finite_entries_with_an_overflowing_sum_of_squares_keep_stepping(field):
+    cps = [0.5, 1.5]
+    res = solve_flow(field, np.full(4, 1e160), IntegratorConfig(t_max=5.0), checkpoints=cps)
+    assert res.stop_reason == "t_max" and res.t[-1] == 5.0
+    assert res.n_steps > 1 and set(cps) <= set(res.t.tolist())
+    assert np.isfinite(res.y).all() and np.abs(res.y).min() > 9e159
+
+
+@pytest.mark.parametrize("past", [np.nan, np.inf, 1e308], ids=["nan", "inf", "overflowing_state"])
+def test_a_non_finite_step_stops_at_the_last_finite_sample(past):
+    # y[0] runs at unit speed; past 2 the field turns non-finite, or so large
+    # that the last stage's sum of squares and the new state overflow
+    def field(y, out):
+        out.fill(1.0)
+        if y[0] > 2.0:
+            out[0] = past
+
+    res = solve_flow(field, np.zeros(3), IntegratorConfig(t_max=10.0))
+    assert res.stop_reason == "non_finite"
+    assert np.isfinite(res.y).all() and np.isfinite(res.field_norm).all()
+    assert 1.0 <= res.y[-1, 0] <= 2.0 and abs(res.t[-1] - res.y[-1, 1]) < 1e-12
+
+
 def test_convergence_is_tested_at_every_checkpoint():
     # e^{-t} falls below 1e-4 at t = 9.2103; the steps are far longer than the grid
     cfg = IntegratorConfig(t_max=20.0, grad_tol=1e-4)

@@ -271,6 +271,33 @@ def test_flow_field_writes_the_packed_field_bit_for_bit():
             assert row.tobytes() == (-pack(layer_gradients(unpack(y), cost))).tobytes(), shape
 
 
+def test_flow_field_binds_a_chain_per_pair_of_arrays():
+    # a chain is bound per (y, out) pair, and y's chains share its work
+    # arrays: a new y into a used out, and a used y into new outs (which past
+    # the binding limit drop y's own binding), must each give the field at y
+    rng = np.random.default_rng(21)
+    scalar = parse_scalar_cost("w^4 - 3 * w^2 + w").as_matrix()
+    for depth in range(1, 5):
+        for n in (1, 2):
+            shape = NetShape(n=n, k=n if depth == 1 else n + 1, depth=depth)
+            quadratic = QuadraticMatrixCost(np.eye(n) + 0.3 * rng.standard_normal((n, n)))
+            for cost in [quadratic, scalar] if n == 1 else [quadratic]:
+                field, unpack = flow_field(shape, cost), unpacker(shape)
+                dim = sum(r * c for r, c in layer_shapes(shape))
+                for lead in [(), (3,)]:
+                    def check(y, out):
+                        field(y, out)
+                        assert out.tobytes() == (-pack(layer_gradients(unpack(y), cost))).tobytes(), (shape, lead)
+
+                    y, out = rng.standard_normal(lead + (dim,)), np.empty(lead + (dim,))
+                    check(y, out)
+                    for _ in range(3):
+                        check(rng.standard_normal(lead + (dim,)), out)
+                    for _ in range(30):
+                        check(y, np.empty(lead + (dim,)))
+                    check(y, out)
+
+
 def test_flow_field_reads_a_rewritten_buffer_afresh():
     shape = NetShape(n=2, k=3, depth=3)
     cost = QuadraticMatrixCost(np.eye(2))
