@@ -227,70 +227,81 @@ def build_initial_stack(config: RunConfig) -> LayerStack:
 # SVG rendering
 
 
+# one path per grid point; a zero field gets a zero-length arrow at the point
+_ARROW = '<path class="arrow" d="M %.2f %.2f L %.2f %.2f M %.2f %.2f L %.2f %.2f L %.2f %.2f"/>\n'
+_DOT = '<path class="arrow" d="M %.2f %.2f L %.2f %.2f"/>\n'
+_ARROWS_PER_WRITE = 100
+
+
 def write_portrait_svg(portrait: PortraitData, path: str) -> None:
     """Render a portrait to a deterministic standalone SVG.
 
     One path element with class "arrow" per grid point; target-set curves
     share the stroke class "target-curve" and separatrix/manifold curves
     the class "manifold-curve". Identical portraits yield byte-identical
-    files.
+    files. Every coordinate of the field is computed over the whole grid
+    at once, with the per-point operations in their order (the arrow
+    lengths through ``math.hypot``, which numpy's hypot does not match in
+    the last bit), and written in chunks of arrows, one ``%`` each.
     """
     lo1, hi1, lo2, hi2 = portrait.bounds
     size = 800.0
 
-    def px(a: float, b: float) -> tuple[float, float]:
-        return (
-            (a - lo1) / (hi1 - lo1) * size,
-            size - (b - lo2) / (hi2 - lo2) * size,
-        )
+    def px(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return (a - lo1) / (hi1 - lo1) * size, size - (b - lo2) / (hi2 - lo2) * size
 
     cell = size / max(portrait.grid - 1, 1)
     arrow_len = 0.42 * cell
     barb = 0.3 * arrow_len
+    half = 0.5 * arrow_len
 
-    parts = [
-        '<svg xmlns="http://www.w3.org/2000/svg" width="800" height="800" viewBox="0 0 800 800">',
-        f"<!-- kind={portrait.kind} grid={portrait.grid} -->",
-        '<rect x="0" y="0" width="800" height="800" fill="#ffffff"/>',
-        '<g class="field" stroke="#4a4a4a" stroke-width="1" fill="none">',
-    ]
-    for w1, w2, dw1, dw2 in zip(portrait.w1, portrait.w2, portrait.dw1, portrait.dw2):
-        cx, cy = px(float(w1), float(w2))
-        norm = math.hypot(float(dw1), float(dw2))
-        if norm == 0.0:
-            parts.append(f'<path class="arrow" d="M {cx:.2f} {cy:.2f} L {cx:.2f} {cy:.2f}"/>')
-            continue
-        ux = float(dw1) / norm
-        uy = -float(dw2) / norm  # pixel y points down
-        tail = (cx - 0.5 * arrow_len * ux, cy - 0.5 * arrow_len * uy)
-        tip = (cx + 0.5 * arrow_len * ux, cy + 0.5 * arrow_len * uy)
+    dw1, dw2 = portrait.dw1, portrait.dw2
+    norm = np.array(list(map(math.hypot, dw1.tolist(), dw2.tolist())))
+    still = norm == 0.0
+    # as silent as the float arithmetic it replaces on an infinite or NaN field
+    with np.errstate(all="ignore"):
+        cx, cy = px(portrait.w1, portrait.w2)
+        unit = np.where(still, 1.0, norm)  # a still point's direction is never written
+        ux = dw1 / unit
+        uy = -dw2 / unit  # pixel y points down
+        tip_x, tip_y = cx + half * ux, cy + half * uy
         # barbs rotated +-150 degrees from the direction
         cos_b, sin_b = -0.8660254037844387, 0.5
-        b1 = (tip[0] + barb * (ux * cos_b - uy * sin_b), tip[1] + barb * (ux * sin_b + uy * cos_b))
-        b2 = (tip[0] + barb * (ux * cos_b + uy * sin_b), tip[1] + barb * (-ux * sin_b + uy * cos_b))
-        parts.append(
-            '<path class="arrow" d="'
-            f"M {tail[0]:.2f} {tail[1]:.2f} L {tip[0]:.2f} {tip[1]:.2f} "
-            f"M {b1[0]:.2f} {b1[1]:.2f} L {tip[0]:.2f} {tip[1]:.2f} L {b2[0]:.2f} {b2[1]:.2f}"
-            '"/>'
-        )
-    parts.append("</g>")
-
-    for prefix, style in (
-        ("target", 'stroke="#1f6f43" stroke-width="2" fill="none"'),
-        ("manifold", 'stroke="#b03a3a" stroke-width="2" fill="none" stroke-dasharray="7 5"'),
-    ):
-        curves = [ov for ov in portrait.overlays if ov[0].startswith(prefix)]
-        if curves:
-            parts.append(f"<g {style}>")
-            for curve_id, line in curves:
-                pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in (px(a, b) for a, b in line))
-                parts.append(f'<polyline class="{prefix}-curve" id="{curve_id}" points="{pts}"/>')
-            parts.append("</g>")
-    parts.append("</svg>")
+        coords = np.column_stack([
+            cx - half * ux, cy - half * uy, tip_x, tip_y,
+            tip_x + barb * (ux * cos_b - uy * sin_b), tip_y + barb * (ux * sin_b + uy * cos_b), tip_x, tip_y,
+            tip_x + barb * (ux * cos_b + uy * sin_b), tip_y + barb * (-ux * sin_b + uy * cos_b),
+        ])
+    coords[still, :4] = np.column_stack([cx, cy, cx, cy])[still]
+    written = np.ones(coords.shape, dtype=bool)
+    written[still, 4:] = False
 
     with open(path, "w") as handle:
-        handle.write("\n".join(parts) + "\n")
+        handle.write(
+            '<svg xmlns="http://www.w3.org/2000/svg" width="800" height="800" viewBox="0 0 800 800">\n'
+            f"<!-- kind={portrait.kind} grid={portrait.grid} -->\n"
+            '<rect x="0" y="0" width="800" height="800" fill="#ffffff"/>\n'
+            '<g class="field" stroke="#4a4a4a" stroke-width="1" fill="none">\n'
+        )
+        for start in range(0, len(coords), _ARROWS_PER_WRITE):
+            rows = slice(start, start + _ARROWS_PER_WRITE)
+            lines = "".join([_DOT if dot else _ARROW for dot in still[rows].tolist()])
+            handle.write(lines % tuple(coords[rows][written[rows]].tolist()))
+        handle.write("</g>\n")
+
+        for prefix, style in (
+            ("target", 'stroke="#1f6f43" stroke-width="2" fill="none"'),
+            ("manifold", 'stroke="#b03a3a" stroke-width="2" fill="none" stroke-dasharray="7 5"'),
+        ):
+            curves = [ov for ov in portrait.overlays if ov[0].startswith(prefix)]
+            if curves:
+                handle.write(f"<g {style}>\n")
+                for curve_id, line in curves:
+                    points = np.column_stack(px(line[:, 0], line[:, 1]))
+                    pts = " ".join(["%.2f,%.2f"] * len(points)) % tuple(points.ravel().tolist())
+                    handle.write(f'<polyline class="{prefix}-curve" id="{curve_id}" points="{pts}"/>\n')
+                handle.write("</g>\n")
+        handle.write("</svg>\n")
 
 
 # ---------------------------------------------------------------------------
@@ -348,11 +359,11 @@ def _cmd_accelerate(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
-    rows = ([t, lo, hi, lo - hi] for t, lo, hi in zip(report.t_grid, report.cost_low_c, report.cost_high_c))
-    write_csv(args.out, ["t", "cost_low_c", "cost_high_c", "margin"], rows)
+    race = [report.t_grid, report.cost_low_c, report.cost_high_c, report.cost_low_c - report.cost_high_c]
+    write_csv(args.out, ["t", "cost_low_c", "cost_high_c", "margin"], np.column_stack(race))
     if args.collapse_out:
-        rows = zip(report.tau_grid, report.z_low_tau, report.z_high_tau)
-        write_csv(args.collapse_out, ["tau", "z_low_c", "z_high_c"], rows)
+        collapse = np.column_stack([report.tau_grid, report.z_low_tau, report.z_high_tau])
+        write_csv(args.collapse_out, ["tau", "z_low_c", "z_high_c"], collapse)
 
     margins = report.cost_low_c[report.t_grid > 0] - report.cost_high_c[report.t_grid > 0]
     print(

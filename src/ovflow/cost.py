@@ -133,35 +133,70 @@ def evaluate(expr: Expr, w: float) -> float:
     raise TypeError(f"unknown node {expr!r}")
 
 
-def _div(num: float, den: float) -> float:
+def _div(num, den):
+    if isinstance(num, np.ndarray) or isinstance(den, np.ndarray):
+        quotient = np.divide(num, den)
+        zero = den == 0.0
+        if np.any(zero):
+            return np.where(zero, np.where(num == 0.0, np.nan, np.copysign(np.inf, num)), quotient)
+        return quotient
     if den == 0.0:
         return math.nan if num == 0.0 else math.copysign(math.inf, num)
     return num / den
 
 
-def _pow(base: float, exponent: int) -> float:
+def _pow(base, exponent: int):
+    if isinstance(base, np.ndarray):
+        # Python's ** per element: numpy's power, even x * x for a square,
+        # differs from C pow in the last bit on some doubles
+        values = base.ravel().tolist()
+        try:
+            powers = [b ** exponent for b in values]
+        except (OverflowError, ZeroDivisionError):
+            powers = [_pow(b, exponent) for b in values]
+        powers = np.array(powers, dtype=float)
+        # a reshape is a view, and a record locks only an array that owns its data
+        return powers if base.ndim == 1 else powers.reshape(base.shape)
     try:
         return base ** exponent
     except (OverflowError, ZeroDivisionError):
         return math.copysign(math.inf, base) if exponent % 2 else math.inf
 
 
-def compile_expr(expr: Expr) -> Callable[[float], float]:
+def compile_expr(expr: Expr) -> Callable:
     """A closure computing ``evaluate(expr, w)`` with the same float
     operations in the same order, so its results are bit-identical; it
-    walks the tree once instead of on every call."""
+    walks the tree once instead of on every call.
+
+    w may also be a float array: the closure then returns a new array of
+    w's shape whose entries are bit-identical to the closure at each entry,
+    and it emits no warning, as the float route raises none."""
+    run = _compile(expr)
+
+    def compiled(w):
+        if not isinstance(w, np.ndarray):
+            return run(w)
+        with np.errstate(all="ignore"):
+            value = run(w)
+        # a constant comes back as a float, and w alone as w itself
+        return value if isinstance(value, np.ndarray) and value is not w else np.full(w.shape, value)
+
+    return compiled
+
+
+def _compile(expr: Expr) -> Callable:
     if isinstance(expr, Num):
         value = expr.value
         return lambda w: value
     if isinstance(expr, Var):
         return lambda w: w
     if isinstance(expr, Neg):
-        arg = compile_expr(expr.arg)
+        arg = _compile(expr.arg)
         return lambda w: -arg(w)
     if isinstance(expr, Pow):
-        base, exponent = compile_expr(expr.base), expr.exponent
+        base, exponent = _compile(expr.base), expr.exponent
         return lambda w: _pow(base(w), exponent)
-    left, right = compile_expr(expr.left), compile_expr(expr.right)
+    left, right = _compile(expr.left), _compile(expr.right)
     if isinstance(expr, Add):
         return lambda w: left(w) + right(w)
     if isinstance(expr, Sub):
@@ -484,7 +519,8 @@ class ScalarCost:
     ``min_value`` is the self-declared infimum of f when known; it stays None
     otherwise and routines that need it (the gradient-dominance check) fall
     back to a grid minimum. The three expressions are compiled to closures
-    once, at construction.
+    once, at construction; ``value``, ``deriv`` and ``second`` take a float
+    or a float array (see ``compile_expr``).
     """
 
     text: str
@@ -493,9 +529,9 @@ class ScalarCost:
     second_derivative: Expr
     min_value: Optional[float] = None
     uses_division: bool = False
-    _value: Callable[[float], float] = field(init=False, repr=False, compare=False)
-    _deriv: Callable[[float], float] = field(init=False, repr=False, compare=False)
-    _second: Callable[[float], float] = field(init=False, repr=False, compare=False)
+    _value: Callable = field(init=False, repr=False, compare=False)
+    _deriv: Callable = field(init=False, repr=False, compare=False)
+    _second: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_value", compile_expr(self.expression))
@@ -506,13 +542,13 @@ class ScalarCost:
         # closures do not pickle; the unpickled cost compiles them afresh
         return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
-    def value(self, w: float) -> float:
+    def value(self, w):
         return self._value(w)
 
-    def deriv(self, w: float) -> float:
+    def deriv(self, w):
         return self._deriv(w)
 
-    def second(self, w: float) -> float:
+    def second(self, w):
         return self._second(w)
 
     def sign_at_zero(self) -> int:
@@ -544,7 +580,7 @@ class ScalarMatrixCost:
 
     def gradient(self, W: np.ndarray) -> np.ndarray:
         """f'(w) per 1x1 matrix; W may be a stack of shape (B, 1, 1)."""
-        return np.array([self.scalar.deriv(w) for w in W.ravel().tolist()]).reshape(W.shape)
+        return self.scalar.deriv(W.reshape(-1)).reshape(W.shape)
 
     def gradient_directional(self, W: np.ndarray, A: np.ndarray) -> np.ndarray:
         """f''(w) A: the derivative of the gradient at W along A, or along
@@ -670,8 +706,7 @@ def pdpli_check(cost: ScalarCost, interval: tuple[float, float]) -> PdpliReport:
         raise ValueError(f"bad interval ({lo}, {hi})")
 
     grid = np.linspace(lo, hi, 601)
-    f = np.array([cost.value(w) for w in grid])
-    fp = np.array([cost.deriv(w) for w in grid])
+    f, fp = cost.value(grid), cost.deriv(grid)
     if not (np.all(np.isfinite(f)) and np.all(np.isfinite(fp))):
         raise ValueError("cost evaluates to non-finite values on the interval")
 
@@ -688,7 +723,7 @@ def pdpli_check(cost: ScalarCost, interval: tuple[float, float]) -> PdpliReport:
     kappa = float(ratios[worst])
     if not kappa > 1e-8:
         return PdpliReport(passed=False, witness=float(grid[active][worst]), alpha_scale=kappa, fmin=fmin)
-    fpp = np.array([cost.second(w) for w in grid])
+    fpp = cost.second(grid)
     # a sign change of f' is a critical point whatever the ratio; one of f''
     # is a minimum of |f'|, which fails only below the floor
     for fn, values, critical in ((cost.deriv, fp, True), (cost.second, fpp, False)):

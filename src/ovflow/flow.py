@@ -230,13 +230,15 @@ def write_trajectory_csv(traj: Trajectory, cost: MatrixCost, path: str) -> None:
         # math.sqrt(g.dot(g)) over a flattened row is np.linalg.norm of that matrix
         grad_f_norm = [math.sqrt(g.dot(g)) for g in cost.gradient(w).reshape(count, -1)]
     drift = traj.drift_series if depth >= 2 else np.zeros(count)
-    imbalance = imbalance_series(layers).tolist() if depth == 2 and n == 1 else [""] * count
-    leading = np.column_stack([traj.t, traj.cost, traj.field_norm, grad_f_norm, drift])
+    columns = [traj.t, traj.cost, traj.field_norm, grad_f_norm, drift]
+    blank = (5,)  # the imbalance column
+    if depth == 2 and n == 1:
+        columns.append(imbalance_series(layers))
+        blank = ()
 
     header = ["t", "cost", "grad_g_norm", "grad_f_norm", "drift", "imbalance_c"]
     header += [f"w_{r}_{c}" for r in range(n) for c in range(n)]
-    rows = zip(leading, imbalance, w.reshape(count, -1))
-    write_csv(path, header, (head.tolist() + [imb] + entries.tolist() for head, imb, entries in rows))
+    write_csv(path, header, np.column_stack([*columns, w.reshape(count, -1)]), blank=blank)
 
 
 def read_trajectory_csv(path: str) -> dict[str, np.ndarray]:

@@ -269,9 +269,10 @@ def unpacker(shape: NetShape) -> Callable[[np.ndarray], list[np.ndarray]]:
 
 # The most arrays a flow field keeps layer views of; past that it forgets the
 # one bound first, and with it the chains that read or write that array. A
-# serial dop853 solve with checkpoints passes the same 19 arrays on every
-# call; a batched solve passes 15, and 13 new ones each time rows leave the
-# batch. A caller that passes fresh arrays rebinds on every call.
+# serial dop853 solve passes the same 18 arrays on every call, and its blocks
+# of checkpoint samples are never kept; a batched solve passes 15, and 13 new
+# ones each time rows leave the batch. A caller that passes fresh arrays
+# rebinds on every call.
 _MAX_BOUND = 24
 
 
@@ -285,11 +286,15 @@ def flow_field(shape: NetShape, cost) -> Callable[[np.ndarray, np.ndarray], None
     chains share: a solve replays prebuilt chains. A binding holds its
     arrays, so their ids cannot be reused while bound; past ``_MAX_BOUND``
     arrays the oldest binding is dropped with every chain that uses it.
+    Only arrays with the ndim of the first state the field saw are kept:
+    a serial solve's (m, d) blocks of checkpoint samples are new on every
+    step, so each goes through a chain bound for that call alone.
     """
     unpack = unpacker(shape)
     bound: dict[int, tuple[np.ndarray, list[np.ndarray]]] = {}
     work: dict[int, tuple] = {}  # id(y) -> _bind_layers of its views
     chains: dict[int, dict[int, Callable[[], None]]] = {}  # id(y) -> id(out) -> chain
+    kept_ndim = None  # the ndim of the first state seen
 
     def views(arr: np.ndarray) -> list[np.ndarray]:
         entry = bound.get(id(arr))
@@ -305,6 +310,11 @@ def flow_field(shape: NetShape, cost) -> Callable[[np.ndarray, np.ndarray], None
         return entry[1]
 
     def bind(y: np.ndarray, out: np.ndarray) -> Callable[[], None]:
+        nonlocal kept_ndim
+        if kept_ndim is None:
+            kept_ndim = y.ndim
+        if y.ndim != kept_ndim:
+            return _bind_chain(_bind_layers(unpack(y)), cost, unpack(out))
         layers, grads = views(y), views(out)
         if id(y) not in bound:  # binding out dropped y, the oldest binding
             return _bind_chain(_bind_layers(layers), cost, grads)

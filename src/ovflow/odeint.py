@@ -10,15 +10,18 @@ predicate; ``solve_flow_batch`` runs a (batch, dim) array of independent
 flows at once, each row stepping as its own ``solve_flow`` run would.
 
 A field is called as ``field(y, out)`` and writes the field at y into out,
-an array of y's shape; its return value is ignored. Within one solve the
-loops pass the same arrays again and again: one stage-input buffer, the
-rows of one stage array and, for checkpoints, one output buffer, each made
-once (the batched loop makes them anew when rows leave the batch), and so
-the same few (y, out) pairs: after the first call, the stage-input buffer
-with each later stage row or the output buffer. A field may therefore keep
-work keyed by array identity, per array (views of its own structures) or
-per pair (a computation bound to both). It must not keep the arrays'
-contents: the loops rewrite them between calls.
+an array of y's shape; its return value is ignored. y is one (d,) state or
+an (m, d) array of states, and every field serves both, row by row: the
+batched loop passes its (batch, d) arrays, and the serial loop passes the
+(m, d) block of a step's checkpoint samples in one call. Within one solve
+the loops pass the same arrays again and again: one stage-input buffer and
+the rows of one stage array, each made once (the batched loop makes them
+anew when rows leave the batch), and so the same few (y, out) pairs: after
+the first call, the stage-input buffer with each later stage row. A field
+may therefore keep work keyed by array identity, per array (views of its
+own structures) or per pair (a computation bound to both). It must not
+keep the arrays' contents: the loops rewrite them between calls. A block
+of checkpoint samples and its output are new arrays on every step.
 
 The solver stops on whichever comes first: the field norm dropping below
 ``grad_tol`` (convergence), reaching ``t_max``, exhausting ``max_steps``,
@@ -219,14 +222,23 @@ def solve_flow(
     """Integrate dy/dt = field(y) from y0 under the given config.
 
     field(y, out) writes the field at the (d,) state y into the (d,) array
-    out. The first call sees the initial state; every later call gets the
-    solve's one stage-input buffer and either one of its stage rows or its
-    checkpoint buffer, the same array objects each time.
+    out, or, for an (m, d) array of states, each row's field into that row
+    of the (m, d) out. The first call sees the initial state; every later
+    call on a single state gets the solve's one stage-input buffer and one
+    of its stage rows, the same array objects each time. The checkpoints
+    inside a step are sampled from its dense output as one (m, d) block,
+    and the field is called once on that block.
 
     Every checkpoint in (0, t_max] that the run reaches is recorded, in time
     order with the steps, together with the field norm there. Every recorded
     sample is tested for convergence (field norm below grad_tol) and then
-    asked stop_when, so nothing past the stop is recorded.
+    asked stop_when, so nothing past the stop is recorded; a non-finite
+    sample stops the run before it is recorded. stop_when runs under the
+    caller's numpy error state, at checkpoints as at step ends.
+
+    nfev counts the states the field was evaluated at: one per call on a
+    single state and m per block, the rows past a stop inside the block
+    included.
     """
     y = np.array(y0, dtype=float).ravel()
     if not _finite(y):
@@ -234,7 +246,8 @@ def solve_flow(
 
     cps: list[float] = []
     if checkpoints is not None:
-        cps = sorted({float(t) for t in checkpoints if 0.0 < float(t) <= cfg.t_max})
+        cps_in = np.asarray(checkpoints, dtype=float).ravel()
+        cps = np.unique(cps_in[(cps_in > 0.0) & (cps_in <= cfg.t_max)]).tolist()
 
     ts: list[float] = []
     ys: list[np.ndarray] = []
@@ -270,7 +283,7 @@ def solve_flow(
     # each stage's input is y + h * row.dot(the stages before it); its field goes to the next row
     combos = [(row.dot, prior[i], outs[i + 1]) for i, row in enumerate(_DOP853_A)]
     dense_combos = [(row.dot, prior[i], outs[i + 1]) for i, row in enumerate(_DOP853_A_EXTRA, len(_DOP853_A))]
-    y_stage, cp_out = np.empty_like(y), np.empty_like(y)
+    y_stage = np.empty_like(y)
     ctrl = np.empty(1)
     # numpy scales an array by a 0-d array faster than by a float, with the same rounding
     atol, rtol = np.array(cfg.atol), np.array(cfg.rtol)
@@ -340,30 +353,35 @@ def solve_flow(
                     for dot, stages_before, out in dense_combos:
                         np.add(y, h_0d * dot(stages_before), out=y_stage)
                         field(y_stage, out)
-                    nfev += len(dense_combos)
                     dy = y_new - y
                     hermite = (dy, h_try * first - dy, 2.0 * dy - h_try * (last + first))
                     coef = np.vstack((*hermite, h_try * _DOP853_D.dot(stages)))
                     x = (np.array(cps[cp_idx:end]) - t_old) / h_try
                     weights = np.where(_EVEN_ROWS, x[:, None], 1.0 - x[:, None]).cumprod(axis=1)
-                    dense = y + weights.dot(coef)
-                    for j, (t_cp, y_cp) in enumerate(zip(cps[cp_idx:end], dense)):
-                        finite = _finite_by(y_cp.dot(y_cp), y_cp)
-                        if finite:
-                            y_stage[...] = y_cp
-                            field(y_stage, cp_out)
-                            nfev += 1
-                            fnorm_cp = math.sqrt(cp_out.dot(cp_out))
-                            finite = _finite_by(fnorm_cp, cp_out)
-                        if not finite:
-                            if j == 0:  # else the last checkpoint is the last finite sample
-                                record(t_old, y, fnorm)
-                            return finish("non_finite")
-                        record(t_cp, y_cp, fnorm_cp)
-                        if fnorm_cp < cfg.grad_tol:
-                            return finish("converged")
-                        if stop_when is not None and stop_when(t_cp, y_cp):
-                            return finish("stopped")
+                    block = y + weights.dot(coef)  # one row per checkpoint
+                    block_field = np.empty_like(block)
+                    field(block, block_field)
+                    nfev += len(dense_combos) + len(block)
+                    norms = [math.sqrt(r.dot(r)) for r in block_field]
+                    finite = np.isfinite(block).all(axis=1) & np.isfinite(block_field).all(axis=1)
+                # the samples up to the first that is non-finite, converges or
+                # trips stop_when, in that order of precedence per sample
+                bad = len(block) if finite.all() else int(np.argmin(finite))
+                keep, reason = bad, ("non_finite" if bad < len(block) else None)
+                for j in range(bad):
+                    if norms[j] < cfg.grad_tol:
+                        keep, reason = j + 1, "converged"
+                        break
+                    if stop_when is not None and stop_when(cps[cp_idx + j], block[j]):
+                        keep, reason = j + 1, "stopped"
+                        break
+                if keep == 0:  # the first sample is non-finite: the step's start is the last finite one
+                    record(t_old, y, fnorm)
+                ts.extend(cps[cp_idx : cp_idx + keep])
+                ys.extend(block[:keep])
+                fns.extend(norms[:keep])
+                if reason is not None:
+                    return finish(reason)
             y, abs_y = y_new, abs_new
             first[...] = last  # first-same-as-last
             fnorm = fnorm_new

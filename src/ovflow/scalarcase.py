@@ -147,12 +147,15 @@ def reduced_flow(
     c = max(c, 0.0)
 
     def field(y: np.ndarray, out: np.ndarray) -> None:
-        z = float(y[0])
-        out[0] = -cost.deriv(z) * math.sqrt(c + 4.0 * z * z)
+        if y.ndim == 1:
+            z = float(y[0])
+            out[0] = -cost.deriv(z) * math.sqrt(c + 4.0 * z * z)
+        else:  # a block of checkpoint samples: the same operations on its column
+            z = y[:, 0]
+            out[:, 0] = -cost.deriv(z) * np.sqrt(c + 4.0 * z * z)
 
     result = solve_flow(field, np.array([z0]), cfg, checkpoints=checkpoints)
-    f = np.array([cost.value(v) for v in result.y[:, 0]])
-    return ReducedTrajectory(**vars(result), f=f)
+    return ReducedTrajectory(**vars(result), f=cost.value(result.y[:, 0]))
 
 
 def _checkpoint_grid(t_max: float, spacing: float) -> np.ndarray:

@@ -89,7 +89,7 @@ class SigTrajectory(OdeResult):
 
 
 def _sig_rhs(y: np.ndarray, out: np.ndarray) -> None:
-    out[0], out[1] = sig_flow_field(y[0], y[1])
+    out[..., 0], out[..., 1] = sig_flow_field(y[..., 0], y[..., 1])
 
 
 def _sig_rhs_backward(y: np.ndarray, out: np.ndarray) -> None:
@@ -148,7 +148,7 @@ def separatrix_trace(
         y0,
         cfg,
         checkpoints=checkpoints,
-        stop_when=lambda t, y: bool(np.max(np.abs(y)) > radius),
+        stop_when=lambda t, y: abs(y[0]) > radius or abs(y[1]) > radius,
     )
     return result.y.copy()
 
@@ -246,7 +246,7 @@ def phase_portrait(
 
 def write_portrait_csv(portrait: PortraitData, path: str) -> None:
     """Field samples as w1,w2,dw1,dw2 rows."""
-    write_csv(path, ["w1", "w2", "dw1", "dw2"], zip(portrait.w1, portrait.w2, portrait.dw1, portrait.dw2))
+    write_csv(path, ["w1", "w2", "dw1", "dw2"], np.column_stack([portrait.w1, portrait.w2, portrait.dw1, portrait.dw2]))
 
 
 def write_overlays_csv(portrait: PortraitData, path: str) -> None:

@@ -4,6 +4,8 @@ Everything here is deliberately dumb: central differences on the raw
 definitions, no reuse of package internals beyond evaluating the objective.
 """
 
+import math
+
 import numpy as np
 
 
@@ -70,3 +72,64 @@ def rel_err(got, want):
     want = np.asarray(want, dtype=float)
     return float(np.linalg.norm(got - want) / max(1.0, np.linalg.norm(want)))
 
+
+def write_portrait_svg_per_arrow(portrait, path):
+    """The portrait SVG written one arrow at a time, each coordinate from
+    Python floats and each formatted by its own f-string: the reference
+    the array writer ``cli.write_portrait_svg`` must match byte for byte."""
+    lo1, hi1, lo2, hi2 = portrait.bounds
+    size = 800.0
+
+    def px(a: float, b: float) -> tuple[float, float]:
+        return (
+            (a - lo1) / (hi1 - lo1) * size,
+            size - (b - lo2) / (hi2 - lo2) * size,
+        )
+
+    cell = size / max(portrait.grid - 1, 1)
+    arrow_len = 0.42 * cell
+    barb = 0.3 * arrow_len
+
+    parts = [
+        '<svg xmlns="http://www.w3.org/2000/svg" width="800" height="800" viewBox="0 0 800 800">',
+        f"<!-- kind={portrait.kind} grid={portrait.grid} -->",
+        '<rect x="0" y="0" width="800" height="800" fill="#ffffff"/>',
+        '<g class="field" stroke="#4a4a4a" stroke-width="1" fill="none">',
+    ]
+    for w1, w2, dw1, dw2 in zip(portrait.w1, portrait.w2, portrait.dw1, portrait.dw2):
+        cx, cy = px(float(w1), float(w2))
+        norm = math.hypot(float(dw1), float(dw2))
+        if norm == 0.0:
+            parts.append(f'<path class="arrow" d="M {cx:.2f} {cy:.2f} L {cx:.2f} {cy:.2f}"/>')
+            continue
+        ux = float(dw1) / norm
+        uy = -float(dw2) / norm  # pixel y points down
+        tail = (cx - 0.5 * arrow_len * ux, cy - 0.5 * arrow_len * uy)
+        tip = (cx + 0.5 * arrow_len * ux, cy + 0.5 * arrow_len * uy)
+        # barbs rotated +-150 degrees from the direction
+        cos_b, sin_b = -0.8660254037844387, 0.5
+        b1 = (tip[0] + barb * (ux * cos_b - uy * sin_b), tip[1] + barb * (ux * sin_b + uy * cos_b))
+        b2 = (tip[0] + barb * (ux * cos_b + uy * sin_b), tip[1] + barb * (-ux * sin_b + uy * cos_b))
+        parts.append(
+            '<path class="arrow" d="'
+            f"M {tail[0]:.2f} {tail[1]:.2f} L {tip[0]:.2f} {tip[1]:.2f} "
+            f"M {b1[0]:.2f} {b1[1]:.2f} L {tip[0]:.2f} {tip[1]:.2f} L {b2[0]:.2f} {b2[1]:.2f}"
+            '"/>'
+        )
+    parts.append("</g>")
+
+    for prefix, style in (
+        ("target", 'stroke="#1f6f43" stroke-width="2" fill="none"'),
+        ("manifold", 'stroke="#b03a3a" stroke-width="2" fill="none" stroke-dasharray="7 5"'),
+    ):
+        curves = [ov for ov in portrait.overlays if ov[0].startswith(prefix)]
+        if curves:
+            parts.append(f"<g {style}>")
+            for curve_id, line in curves:
+                pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in (px(a, b) for a, b in line))
+                parts.append(f'<polyline class="{prefix}-curve" id="{curve_id}" points="{pts}"/>')
+            parts.append("</g>")
+    parts.append("</svg>")
+
+    with open(path, "w") as handle:
+        handle.write("\n".join(parts) + "\n")

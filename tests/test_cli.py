@@ -10,9 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ovflow.cli import build_initial_stack, console_main, load_config, main
+from ovflow.cli import build_initial_stack, console_main, load_config, main, write_portrait_svg
 from ovflow.flow import integrate, integrate_baseline, read_trajectory_csv
 from ovflow.linnet import product
+from ovflow.sigmoid import phase_portrait
+
+from _oracles import write_portrait_svg_per_arrow
 
 TARGET = [[2.0, 0.3], [-0.1, 1.0]]
 
@@ -436,6 +439,19 @@ def test_phase_portrait_svg_is_deterministic(tmp_path):
     for path in (a, b):
         assert main(["phase-portrait", "--kind", "linear", "--grid", "7", "--svg", str(path)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["linear", "sigmoid"])
+def test_portrait_svg_matches_the_per_arrow_writer(tmp_path, kind):
+    # both fields vanish at the origin, and the linear one also at the six
+    # grid points on w1 w2 = 1: zero-length arrows among the others
+    portrait = phase_portrait((-3.0, 3.0, -3.0, 3.0), 25, include_manifolds=True, kind=kind)
+    write_portrait_svg(portrait, str(tmp_path / "bulk.svg"))
+    write_portrait_svg_per_arrow(portrait, str(tmp_path / "oracle.svg"))
+    bulk = (tmp_path / "bulk.svg").read_bytes()
+    assert bulk == (tmp_path / "oracle.svg").read_bytes()
+    dots = re.findall(rb'd="M ([-\d.]+ [-\d.]+) L \1"', bulk)
+    assert len(dots) == {"linear": 7, "sigmoid": 1}[kind] and bulk.count(b'class="arrow"') == 625
 
 
 def test_phase_portrait_no_manifolds(tmp_path):

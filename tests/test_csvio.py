@@ -4,6 +4,7 @@ doubles."""
 
 import csv
 import json
+import math
 
 import numpy as np
 
@@ -29,6 +30,21 @@ def test_write_csv_formats_floats_and_passes_other_cells(tmp_path):
     path = tmp_path / "x.csv"
     write_csv(str(path), ["a", "b", "c", "d", "e"], [[0.1, np.float64(1 / 3), 7, "x", ""], [float("inf"), -0.0, 0, "y", ""]])
     assert path.read_bytes() == b"a,b,c,d,e\n0.10000000000000001,0.33333333333333331,7,x,\ninf,-0,0,y,\n"
+
+
+def test_a_float_table_is_written_as_the_csv_route_writes_its_rows(tmp_path):
+    # more rows than one chunk, the edge doubles, and a blank column in the middle
+    edges = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, 1 / 3]
+    rng = np.random.default_rng(2)
+    table = np.concatenate([np.array(edges * 4).reshape(-1, 4), rng.standard_normal((700, 4)) * 10.0 ** rng.integers(-300, 300, (700, 4))])
+    header = ["a", "b", "blank", "c", "d"]
+    write_csv(str(tmp_path / "table.csv"), header, table, blank=(2,))
+    rows = [row[:2] + [""] + row[2:] for row in table.tolist()]
+    write_csv(str(tmp_path / "rows.csv"), header, rows)
+    assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+    write_csv(str(tmp_path / "full.csv"), header[:4], table)
+    write_csv(str(tmp_path / "full_rows.csv"), header[:4], table.tolist())
+    assert (tmp_path / "full.csv").read_bytes() == (tmp_path / "full_rows.csv").read_bytes()
 
 
 def test_every_writer_uses_one_format(tmp_path):

@@ -1,9 +1,11 @@
 """End-to-end dynamics: the factored flow, its baseline, and trajectory I/O."""
 
 import dataclasses
+import gc
 import math
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -33,7 +35,7 @@ from ovflow.linnet import (
 from ovflow import odeint
 from ovflow.odeint import IntegratorConfig, solve_flow, solve_flow_batch
 from ovflow.scalarcase import anti_balanced, reduced_flow, to_stack
-from ovflow.sigmoid import _sig_rhs, sig_integrate
+from ovflow.sigmoid import _sig_rhs, _sig_rhs_backward, origin_eigenvectors, separatrix_trace, sig_integrate
 
 COST = QuadraticMatrixCost(np.array([[2.0, 0.3], [-0.1, 1.0]]))
 
@@ -411,16 +413,38 @@ def test_solver_stop_reasons():
 
 
 def test_field_norm_is_the_norm_of_the_field_at_every_sample():
+    # each run records checkpoints from blocks, whose field is one call per
+    # block; every recorded norm must be the norm of the field at that one state
     shape = NetShape(n=2, k=3, depth=3)
     field = flow_field(shape, COST)
     cfg = IntegratorConfig(h0=0.01, t_max=2.0, grad_tol=1e-12, record_stride=3)
-    res = solve_flow(field, pack(random_init(shape, seed=4, scale=0.5).layers), cfg,
-                     checkpoints=[0.05, 0.3, 1.0, 1.7])
-    assert len(res.t) > 10
-    out = np.empty(res.y.shape[1])
-    for y, fnorm in zip(res.y, res.field_norm):
-        field(y, out)
-        assert fnorm == np.linalg.norm(out)
+    deep = solve_flow(field, pack(random_init(shape, seed=4, scale=0.5).layers), cfg,
+                      checkpoints=[0.05, 0.3, 1.0, 1.7])
+    assert len(deep.t) > 10
+
+    well, c = parse_scalar_cost("(1 - w)^2 * (2 + w)^2"), 0.3
+
+    def reduced_field(y, out):  # the reduced flow's field at one state
+        z = float(y[0])
+        out[0] = -well.deriv(z) * math.sqrt(c + 4.0 * z * z)
+
+    reduced = reduced_flow(well, c, 0.5, IntegratorConfig(t_max=5.0, grad_tol=1e-12),
+                           checkpoints=np.linspace(0.0, 5.0, 1001))
+    assert len(reduced.t) > 1000
+
+    # separatrix_trace's own solve, whose stop_when is asked at every checkpoint
+    sep_cfg = IntegratorConfig(t_max=25.0, grad_tol=1e-12)
+    trace = separatrix_trace("plus", "backward", sep_cfg, eps=1e-6, radius=2.5)
+    y0 = 1e-6 * origin_eigenvectors()[0]
+    sep = solve_flow(_sig_rhs_backward, y0, sep_cfg, checkpoints=np.arange(0.01, 25.0, 0.01),
+                     stop_when=lambda t, y: bool(np.max(np.abs(y)) > 2.5))
+    assert sep.stop_reason == "stopped" and sep.y.tobytes() == trace.tobytes() and len(sep.t) > 500
+
+    for res, single in ((deep, field), (reduced, reduced_field), (sep, _sig_rhs_backward)):
+        out = np.empty(res.y.shape[1])
+        for y, fnorm in zip(res.y, res.field_norm):
+            single(y, out)
+            assert fnorm == np.linalg.norm(out)
 
 
 def test_solver_rejects_bad_inputs():
@@ -531,6 +555,85 @@ def test_stop_when_is_asked_at_every_checkpoint():
     assert res.t[-1] == cps[np.searchsorted(cps, np.log(2.0))]
 
 
+def _block_spanning(t_stop, cfg, grid):
+    """The checkpoints of the step that spans t_stop, and t_stop's index
+    among them; the steps are those of a run without checkpoints."""
+    ends = solve_flow(_decay, np.array([1.0]), dataclasses.replace(cfg, grad_tol=1e-300)).t
+    t_old, t_new = ends[ends < t_stop][-1], ends[ends > t_stop][0]
+    block = grid[(grid > t_old) & (grid < t_new)]
+    return block, int(np.flatnonzero(block == t_stop)[0])
+
+
+@pytest.mark.parametrize("stop", ["converged", "stopped"])
+def test_a_block_records_its_samples_up_to_the_one_that_stops(stop):
+    # e^{-t} first falls below 1e-4 on the grid at t = 9.22, inside a step
+    # that spans many grid points
+    grid = np.arange(1, 2001) * 0.01
+    if stop == "converged":
+        cfg, stop_when = IntegratorConfig(t_max=20.0, grad_tol=1e-4), None
+    else:
+        cfg, stop_when = IntegratorConfig(t_max=20.0, grad_tol=1e-12), lambda t, y: y[0] < 1e-4
+    block, k = _block_spanning(9.22, cfg, grid)
+    assert 1 <= k < len(block) - 1
+    rows = []
+
+    def field(y, out):
+        rows.append(len(y) if y.ndim == 2 else 1)
+        _decay(y, out)
+
+    res = solve_flow(field, np.array([1.0]), cfg, checkpoints=grid, stop_when=stop_when)
+    assert res.stop_reason == stop
+    assert res.t[-(k + 1):].tobytes() == block[: k + 1].tobytes()  # samples 0..k and nothing after
+    assert res.t[-(k + 2)] < block[0]
+    assert rows[-1] == len(block) and res.nfev == sum(rows)  # the rows past the stop are counted
+
+
+def test_a_non_finite_sample_inside_a_block_stops_at_the_one_before():
+    # the field turns NaN on checkpoint samples below e^{-9.215}, never at a
+    # step's own stages, so the first non-finite sample is t = 9.22, not the
+    # first of its block
+    cfg = IntegratorConfig(t_max=20.0, grad_tol=1e-12)
+    grid = np.arange(1, 2001) * 0.01
+    block, k = _block_spanning(9.22, cfg, grid)
+    assert k >= 1
+
+    def field(y, out):
+        _decay(y, out)
+        if y.ndim == 2:
+            out[y[:, 0] < math.exp(-9.215)] = np.nan
+
+    res = solve_flow(field, np.array([1.0]), cfg, checkpoints=grid)
+    assert res.stop_reason == "non_finite"
+    assert res.t[-k:].tobytes() == block[:k].tobytes()  # samples 0..k-1
+    assert res.t[-(k + 1)] < block[0]
+    assert np.isfinite(res.field_norm).all()
+
+
+def _overflows_at(times):
+    def stop_when(t, y):
+        if t in times:
+            return bool(np.float64(1e300) * np.float64(1e300) < 0.0)
+        return False
+
+    return stop_when
+
+
+@pytest.mark.parametrize("where", ["checkpoints", "step_ends"])
+def test_stop_when_runs_under_the_callers_error_state(where):
+    # the solver ignores overflow in its own arithmetic, not in the caller's predicate
+    cfg = IntegratorConfig(t_max=1.0)
+    if where == "checkpoints":
+        cps = [0.123456, 0.654321]
+        kwargs = dict(checkpoints=cps, stop_when=_overflows_at(cps))
+    else:
+        ends = solve_flow(_decay, np.array([1.0]), cfg).t.tolist()
+        kwargs = dict(stop_when=_overflows_at(ends[1:]))
+    with pytest.raises(RuntimeWarning, match="overflow"):
+        solve_flow(_decay, np.array([1.0]), cfg, **kwargs)
+    with np.errstate(over="ignore"):
+        assert solve_flow(_decay, np.array([1.0]), cfg, **kwargs).stop_reason == "t_max"
+
+
 def test_nfev_counts_every_field_evaluation():
     shape = NetShape(2, 3, 2)
     field = flow_field(shape, COST)
@@ -547,7 +650,7 @@ def test_nfev_counts_every_field_evaluation():
         for cps in (None, np.linspace(0.0, cfg.t_max, 301)):
             evaluated.clear()
             res = solve_flow(counting, y0, cfg, checkpoints=cps)
-            assert res.nfev == len(evaluated)
+            assert res.nfev == sum(evaluated)  # a block of checkpoint samples counts its rows
         serial.append(res)
     evaluated.clear()
     batch = solve_flow_batch(counting, Y0, cfg)
@@ -588,10 +691,17 @@ def test_a_solve_binds_each_of_its_arrays_once(monkeypatch):
     monkeypatch.setattr(linnet, "unpacker", counting_unpacker)
     shape = NetShape(2, 3, 2)
     Y0 = np.stack([pack(random_init(shape, seed=s, scale=0.5).layers) for s in range(12)])
-    # y0, the stage-input buffer, 16 stage rows and the checkpoint buffer
-    solve_flow(linnet.flow_field(shape, COST), Y0[0], MIXED_STOPS_CFG, checkpoints=np.linspace(0, 11, 111))
-    assert len(bound) == len({id(arr) for arr in bound}) == 19
+    field = linnet.flow_field(shape, COST)
+    solve_flow(field, Y0[0], MIXED_STOPS_CFG, checkpoints=np.linspace(0, 11, 111))
+    # y0, the stage-input buffer and 16 stage rows; the (m, d) blocks of
+    # checkpoint samples and their outputs are unpacked per call, never kept
+    kept = [arr for arr in bound if arr.ndim == 1]
+    blocks = [weakref.ref(arr) for arr in bound if arr.ndim == 2]
+    assert len(kept) == len({id(arr) for arr in kept}) == 18
+    assert len(blocks) == len(bound) - 18 > 0
     bound.clear()
+    gc.collect()
+    assert all(block() is None for block in blocks)  # the field still lives, and holds none of them
     # rows leave at different steps, and each shrink brings 13 new arrays
     solve_flow_batch(linnet.flow_field(shape, COST), Y0, MIXED_STOPS_CFG)
     assert len(bound) == len({id(arr) for arr in bound}) > 15
@@ -639,8 +749,9 @@ def test_trajectories_carry_the_solver_counts():
 
     well = parse_scalar_cost("(1 - w)^2")
 
-    def reduced_field(y, out):  # c = 1
-        out[0] = -well.deriv(float(y[0])) * math.sqrt(1.0 + 4.0 * float(y[0]) ** 2)
+    def reduced_field(y, out):  # c = 1; y is a state or a block of checkpoint samples
+        z = y[..., :1]
+        out[..., :1] = -well.deriv(z) * np.sqrt(1.0 + 4.0 * z * z)
 
     reduced = reduced_flow(well, 1.0, 0.5, cfg, checkpoints=cps)
     sig = sig_integrate(0.3, -0.2, cfg)
