@@ -316,10 +316,9 @@ def _cmd_simulate(args) -> int:
     else:
         traj = integrate(stack0, config.cost, config.integrator)
     write_trajectory_csv(traj, config.cost, args.out)
-    final = traj.final
     print(
         f"{len(traj.t)} samples to {args.out}; stop={traj.stop_reason} "
-        f"t={final.t:.6g} cost={final.cost:.6g} grad_g={final.grad_norm:.3g} "
+        f"t={traj.t[-1]:.6g} cost={traj.cost[-1]:.6g} grad_g={traj.field_norm[-1]:.3g} "
         f"steps={traj.n_steps} nfev={traj.nfev} rejected={traj.n_rejected} forced={traj.n_forced}"
     )
     if traj.stop_reason == "non_finite":
@@ -428,8 +427,7 @@ def _cmd_invariant_check(args) -> int:
     stack0 = build_initial_stack(config)
     traj = integrate(stack0, config.cost, config.integrator)
     d = drift(traj)
-    inv0 = invariants(stack0)
-    residual = max(max(norm_chain_residual(s.stack, inv0)) for s in traj.samples)
+    residual = np.max(norm_chain_residual(traj, invariants(stack0)))
     write_csv(args.out, ["drift", "max_norm_chain_residual", "stop_reason"], [[d, residual, traj.stop_reason]])
     print(f"drift={d:.3g} max_norm_chain_residual={residual:.3g} ({traj.stop_reason})")
     if traj.stop_reason == "non_finite":

@@ -154,9 +154,7 @@ def _pow(base, exponent: int):
             powers = [b ** exponent for b in values]
         except (OverflowError, ZeroDivisionError):
             powers = [_pow(b, exponent) for b in values]
-        powers = np.array(powers, dtype=float)
-        # a reshape is a view, and a record locks only an array that owns its data
-        return powers if base.ndim == 1 else powers.reshape(base.shape)
+        return np.array(powers, dtype=float).reshape(base.shape)
     try:
         return base ** exponent
     except (OverflowError, ZeroDivisionError):
@@ -574,9 +572,10 @@ class ScalarMatrixCost:
     def n(self) -> int:
         return 1
 
-    def value(self, W: np.ndarray) -> float:
-        # W[..., 0, 0] makes a stack of several matrices fail loudly in float()
-        return self.scalar.value(float(W[..., 0, 0]))
+    def value(self, W: np.ndarray):
+        """f(w) of a 1x1 matrix, or one value per matrix of a stack of shape
+        (B, 1, 1), each bit for bit its matrix's own."""
+        return self.scalar.value(W[:, 0, 0] if W.ndim == 3 else float(W[0, 0]))
 
     def gradient(self, W: np.ndarray) -> np.ndarray:
         """f'(w) per 1x1 matrix; W may be a stack of shape (B, 1, 1)."""
@@ -622,10 +621,11 @@ class QuadraticMatrixCost:
             raise ValueError(f"expected shape {self.target.shape}, got {W.shape}")
         return W
 
-    def value(self, W: np.ndarray) -> float:
+    def value(self, W: np.ndarray):
+        """0.5 ||W - target||_F^2 as an np.float64, or one value per matrix of
+        a stack of shape (B, n, n), each bit for bit its matrix's own."""
         diff = self._check(W) - self.target
-        # summing over the matrix axes only makes a stack fail loudly in float()
-        return 0.5 * float(np.sum(diff * diff, axis=(-2, -1)))
+        return 0.5 * np.add.reduce(diff * diff, axis=(-2, -1))
 
     def gradient(self, W: np.ndarray) -> np.ndarray:
         return self._check(W) - self.target

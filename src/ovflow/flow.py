@@ -10,8 +10,8 @@ state (stored as a depth-1 stack so the same reporting works), and
 ``sweep`` classifies the limits of a batch of random initializations.
 
 A recorded run is a ``Trajectory`` of the solver's sample arrays, locked
-read-only; its samples are views of them, its drift is computed once, and
-the trajectory CSV works on them stacked over samples.
+read-only; its layers are (S, rows, cols) views of them, its drift is
+computed once, and the invariants and the CSV read them stacked over samples.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from ovflow.cost import MatrixCost
 from ovflow.csvio import write_csv
-from ovflow.invariant import drift_series, imbalance_series
+from ovflow.invariant import drift_series, imbalance_scalar, invariants
 from ovflow.linnet import LayerStack, NetShape, flow_field, pack, product, random_init, unpacker
 from ovflow.odeint import IntegratorConfig, OdeResult, solve_flow, solve_flow_batch
 
@@ -61,19 +61,19 @@ class Trajectory(OdeResult):
     and the solver's counts, every array read-only) plus the cost at every
     sample (S,), the stack shape and the integrator config.
 
-    ``samples`` and ``final`` present those rows as FlowSamples, built when
-    first read. Their stacks are not copies: each layer is a read-only view
-    of y, shaped by ``unpacker(shape)``, and y is checked finite once for
-    all the samples built. ``drift_series`` is computed once and serves both
-    ``invariant.drift`` and the trajectory CSV."""
+    ``layers`` are W_1, ..., W_N at every sample, read-only (S, rows, cols)
+    views of y, so the ``invariant`` functions take a trajectory as they
+    take a stack. ``samples`` and ``final`` are the public per-sample view,
+    FlowSamples built when first read on views of y checked finite once.
+    ``drift_series`` is computed once for ``invariant.drift`` and the CSV."""
 
     cost: np.ndarray
     shape: NetShape
     config: IntegratorConfig
 
-    def layers(self) -> list[np.ndarray]:
-        """W_1, ..., W_N at every sample, as (S, rows, cols) views of y."""
-        return unpacker(self.shape)(self.y)
+    @cached_property
+    def layers(self) -> tuple[np.ndarray, ...]:
+        return tuple(unpacker(self.shape)(self.y))
 
     @cached_property
     def samples(self) -> tuple[FlowSample, ...]:
@@ -87,7 +87,7 @@ class Trajectory(OdeResult):
     def drift_series(self) -> np.ndarray:
         """``invariant.drift_series`` of the recording (read-only); needs
         at least two layers."""
-        series = drift_series(self.layers())
+        series = drift_series(self.layers)
         series.flags.writeable = False
         return series.view()  # a view of a read-only owner stays read-only
 
@@ -116,7 +116,7 @@ class LimitClass:
 def _as_trajectory(result: OdeResult, shape: NetShape, cost: MatrixCost, cfg: IntegratorConfig) -> Trajectory:
     # near-overflow tails of diverging runs evaluate to inf, not a warning storm
     with np.errstate(over="ignore", invalid="ignore"):
-        values = np.array([cost.value(w) for w in product(unpacker(shape)(result.y))])
+        values = cost.value(product(unpacker(shape)(result.y)))
     return Trajectory(**vars(result), cost=values, shape=shape, config=cfg)
 
 
@@ -184,7 +184,7 @@ def detect_convergence(traj: Trajectory, cost: MatrixCost) -> LimitClass:
     """
     # a run that stopped on non_finite may end too large to square
     with np.errstate(over="ignore", invalid="ignore"):
-        grad_f_norm = float(np.linalg.norm(cost.gradient(product([layer[-1] for layer in traj.layers()]))))
+        grad_f_norm = float(np.linalg.norm(cost.gradient(product([layer[-1] for layer in traj.layers]))))
     grad_g_norm = float(traj.field_norm[-1])
     if grad_f_norm < 1e-6:
         label = "critical_of_f"
@@ -223,18 +223,16 @@ def write_trajectory_csv(traj: Trajectory, cost: MatrixCost, path: str) -> None:
     product entries row-major.
     """
     n, depth, count = traj.shape.n, traj.shape.depth, len(traj.t)
-    layers = traj.layers()
+    scalar = depth == 2 and n == 1
     # the tail of a diverging run overflows to inf in the norms, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        w = product(layers)
+        w = product(traj.layers)
         # math.sqrt(g.dot(g)) over a flattened row is np.linalg.norm of that matrix
         grad_f_norm = [math.sqrt(g.dot(g)) for g in cost.gradient(w).reshape(count, -1)]
+        imbalance = [imbalance_scalar(invariants(traj))] if scalar else []
     drift = traj.drift_series if depth >= 2 else np.zeros(count)
-    columns = [traj.t, traj.cost, traj.field_norm, grad_f_norm, drift]
-    blank = (5,)  # the imbalance column
-    if depth == 2 and n == 1:
-        columns.append(imbalance_series(layers))
-        blank = ()
+    columns = [traj.t, traj.cost, traj.field_norm, grad_f_norm, drift, *imbalance]
+    blank = () if scalar else (5,)  # the imbalance column
 
     header = ["t", "cost", "grad_g_norm", "grad_f_norm", "drift", "imbalance_c"]
     header += [f"w_{r}_{c}" for r in range(n) for c in range(n)]

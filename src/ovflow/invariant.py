@@ -9,38 +9,41 @@ how far a numerical trajectory lets that fingerprint move; the scalar
 imbalance c = 2 tr(C^2) - (tr C)^2 is the single number that controls the
 two-layer scalar-output case.
 
-``invariants`` and ``norm_chain_residual`` take one ``LayerStack``; the
-``*_series`` functions take a recording's (S, rows, cols) layer stacks.
-``drift`` reads a trajectory's ``drift_series``, which the trajectory
-computes once and shares with its CSV.
+``invariants``, ``norm_chain_residual`` and ``imbalance_scalar`` take a
+``LayerStack`` or a whole recording (a ``flow.Trajectory``, whose layers
+are (S, rows, cols) stacks) and reduce over the last two axes: one number
+per pair, or one (S,) series per pair, bit for bit its samples' own.
+``drift`` reads a trajectory's ``drift_series``, computed once and shared
+with its CSV.
 
 Frobenius norms are taken the way numpy's own wrappers take them, without
-the wrappers: ``np.add.reduce(x * x, axis=None)`` is what ``np.sum`` calls,
-and ``math.sqrt(r.dot(r))`` over a matrix's flattened entries is what
-``np.linalg.norm`` computes for it. Every result is bit for bit the same.
+the wrappers: ``np.add.reduce(x * x, axis=(-2, -1))`` is ``np.sum`` per
+matrix, and ``math.sqrt(r.dot(r))`` over a matrix's flattened entries is
+what ``np.linalg.norm`` computes for it. Every result is bit for bit the same.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, Union
 
 import numpy as np
 
 from ovflow.linnet import LayerStack
 
 __all__ = [
-    "InvariantSet", "invariants", "imbalance_scalar", "imbalance_series", "norm_chain_residual", "drift_series", "drift",
+    "InvariantSet", "invariants", "imbalance_scalar", "norm_chain_residual", "drift_series", "drift",
 ]
 
 
 @dataclass(frozen=True)
 class InvariantSet:
-    """The N-1 balance matrices of a stack and their traces."""
+    """The N-1 balance matrices of a stack and their traces; for a
+    recording, each is stacked over its samples."""
 
     matrices: tuple[np.ndarray, ...]
-    traces: tuple[float, ...]
+    traces: tuple[Union[float, np.ndarray], ...]
 
 
 def _balance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -49,52 +52,41 @@ def _balance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def invariants(stack: LayerStack) -> InvariantSet:
-    """Balance matrices C_i = W_i W_i^T - W_{i+1}^T W_{i+1} for i = 1..N-1."""
+    """Balance matrices C_i = W_i W_i^T - W_{i+1}^T W_{i+1} for i = 1..N-1
+    of a stack, or (S, rows, rows) stacks of them for a recording."""
     if stack.shape.depth < 2:
         raise ValueError("invariants need at least two layers")
     mats = tuple(_balance(a, b) for a, b in zip(stack.layers[:-1], stack.layers[1:]))
     for c in mats:
         c.flags.writeable = False
-    return InvariantSet(matrices=mats, traces=tuple(float(np.trace(c)) for c in mats))
+    return InvariantSet(matrices=mats, traces=tuple(np.trace(c, axis1=-2, axis2=-1) for c in mats))
 
 
-def imbalance_scalar(inv: InvariantSet) -> float:
-    """c = 2 tr(C^2) - (tr C)^2 for a single balance matrix."""
+def imbalance_scalar(inv: InvariantSet) -> Union[float, np.ndarray]:
+    """c = 2 tr(C^2) - (tr C)^2 for the one balance matrix of a two-layer
+    stack, or one value per sample of a recording's."""
     if len(inv.matrices) != 1:
         raise ValueError("scalar imbalance is defined for two-layer stacks only")
-    return _imbalance(inv.matrices[0])
-
-
-def _imbalance(c: np.ndarray) -> float:
-    # numpy arithmetic throughout: near-overflow states (a flow stopped on
-    # non_finite) must give inf here, not raise
+    c = inv.matrices[0]
+    # per matrix, as a scalar's ** 2 is pow(), which may differ from x * x in
+    # the last bit; numpy arithmetic throughout, so near-overflow states (a
+    # flow stopped on non_finite) give inf here, not raise
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(2.0 * np.trace(c @ c) - np.trace(c) ** 2)
+        values = [float(2.0 * np.trace(m @ m) - np.trace(m) ** 2) for m in c.reshape(-1, *c.shape[-2:])]
+    return values[0] if c.ndim == 2 else np.array(values)
 
 
-def imbalance_series(layers: Sequence[np.ndarray]) -> np.ndarray:
-    """The scalar imbalance c of a two-layer recording, one value per sample;
-    layers are the (S, rows, cols) stacks of W_1 and W_2."""
-    if len(layers) != 2:
-        raise ValueError("scalar imbalance is defined for two-layer stacks only")
-    with np.errstate(over="ignore", invalid="ignore"):
-        # per sample, as imbalance_scalar: a scalar's ** 2 is pow(), which may differ from x * x in the last bit
-        return np.array([_imbalance(c) for c in _balance(*layers)])
-
-
-def norm_chain_residual(stack: LayerStack, inv0: InvariantSet) -> list[float]:
-    """How far the stack is from ||W_i||_F^2 - ||W_{i+1}||_F^2 = tr C_i(0).
+def norm_chain_residual(stack: LayerStack, inv0: InvariantSet) -> list:
+    """How far the stack is from ||W_i||_F^2 - ||W_{i+1}||_F^2 = tr C_i(0),
+    one np.float64 per pair; for a recording, one (S,) series per pair.
 
     inv0 is the invariant set of the initial condition; zero residuals mean
     the Frobenius-norm chain implied by conservation still holds.
     """
     if len(inv0.traces) != stack.shape.depth - 1:
         raise ValueError("invariant set does not match the stack depth")
-    norms = [float(np.add.reduce(layer * layer, axis=None)) for layer in stack.layers]
-    return [
-        abs(norms[i] - norms[i + 1] - inv0.traces[i])
-        for i in range(stack.shape.depth - 1)
-    ]
+    norms = [np.add.reduce(layer * layer, axis=(-2, -1)) for layer in stack.layers]
+    return [abs(a - b - trace) for a, b, trace in zip(norms, norms[1:], inv0.traces)]
 
 
 def drift_series(layers: Sequence[np.ndarray]) -> np.ndarray:

@@ -96,9 +96,10 @@ class LayerStack:
 
     Layers are copied and marked read-only at construction, so no later
     write to the arrays a stack was built from can change it. The one
-    exception is a recording's samples (``flow.Trajectory.samples`` and
-    ``final``): their layers are read-only views of the recording's locked
-    states, validated once for the whole recording and not copied.
+    exception is a recording's public per-sample view
+    (``flow.Trajectory.samples`` and ``final``): its layers are read-only
+    views of the recording's locked states, checked once and not copied;
+    the package reads a recording through ``Trajectory.layers`` instead.
     """
 
     shape: NetShape

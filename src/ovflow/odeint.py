@@ -179,7 +179,8 @@ class OdeResult:
 
     Every record of a flow in the package extends this one. Each ndarray
     field, a subclass's included, is stored as a read-only view of a
-    read-only owner, so numpy refuses to make it writeable again; an array
+    read-only owner, so numpy refuses to make it writeable again; a
+    writeable view is copied first, as numpy would unlock it. An array
     that is already read-only is stored as given."""
 
     t: np.ndarray
@@ -194,8 +195,9 @@ class OdeResult:
     def __post_init__(self):
         for name, value in vars(self).items():
             if isinstance(value, np.ndarray) and value.flags.writeable:
-                value.flags.writeable = False
-                object.__setattr__(self, name, value.view())
+                owner = value if value.base is None else value.copy()
+                owner.flags.writeable = False
+                object.__setattr__(self, name, owner.view())
 
 
 def _finite(arr: np.ndarray) -> bool:

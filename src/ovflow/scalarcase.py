@@ -181,7 +181,7 @@ def match_reduction(cost: ScalarCost, state0: ScalarPairState, cfg: IntegratorCo
     shared, i_full, i_red = np.intersect1d(full.t, reduced.t, return_indices=True)
     if not shared.size:
         raise RuntimeError("no shared sample times between full and reduced runs")
-    return float(np.max(np.abs(product(full.layers())[i_full, 0, 0] - reduced.z[i_red])))
+    return float(np.max(np.abs(product(full.layers)[i_full, 0, 0] - reduced.z[i_red])))
 
 
 def reparameterize_time(traj: ReducedTrajectory, c: float) -> np.ndarray:

@@ -74,11 +74,8 @@ def deep_battery():
             traj = integrate(stack0, QuadraticMatrixCost(target), cfg, checkpoints=grid)
             assert len(traj.t) >= DP54_SAMPLES[i], f"deep flow {i} checked at {len(traj.t)} samples"
             max_drift = max(max_drift, drift(traj))
-            inv0 = invariants(traj.samples[0].stack)
-            for sample in traj.samples:
-                max_residual = max(max_residual, max(norm_chain_residual(sample.stack, inv0)))
-            costs = np.array([sample.cost for sample in traj.samples])
-            max_cost_increase = max(max_cost_increase, float(np.max(np.diff(costs))))
+            max_residual = max(max_residual, float(np.max(norm_chain_residual(traj, invariants(stack0)))))
+            max_cost_increase = max(max_cost_increase, float(np.max(np.diff(traj.cost))))
     elapsed = time.perf_counter() - start
     return {
         "drift": max_drift,

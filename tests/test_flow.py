@@ -263,7 +263,7 @@ def test_array_route_matches_the_per_sample_route(tmp_path, case):
     traj = integrate(random_init(shape, seed=2, scale=scale), cost, cfg)
     assert traj.stop_reason == stop
 
-    layers = traj.layers()
+    layers = traj.layers
     assert [layer.shape for layer in layers] == [(len(traj.t),) + dims for dims in layer_shapes(shape)]
     for i, sample in enumerate(traj.samples):
         assert (sample.t, sample.cost, sample.grad_norm) == (traj.t[i], traj.cost[i], traj.field_norm[i])
@@ -291,7 +291,7 @@ def test_trajectory_arrays_cannot_be_made_writeable():
     reduced = reduced_flow(parse_scalar_cost("(1 - w)^2"), 1.0, 0.5, cfg, checkpoints=[0.5, 1.0])
     sig = sig_integrate(0.3, -0.2, cfg)
     # the drift series is shared by drift and the CSV
-    derived = [traj.samples[1].stack.layers[1], traj.drift_series, reduced.z]
+    derived = [traj.samples[1].stack.layers[1], *traj.layers, traj.drift_series, reduced.z]
     fields = [getattr(rec, f.name) for rec in (traj, reduced, sig) for f in dataclasses.fields(rec)]
     arrays = [arr for arr in fields if isinstance(arr, np.ndarray)]
     assert len(arrays) == 3 * 3 + 4  # t, y and field_norm each, then cost, f, invariant and cost
@@ -300,6 +300,17 @@ def test_trajectory_arrays_cannot_be_made_writeable():
             arr.flags.writeable = True
     # an array that is already read-only is stored as given, not locked again
     assert dataclasses.replace(traj, n_forced=1).y is traj.y
+
+
+def test_a_record_locks_a_copy_of_a_view_of_a_writeable_owner():
+    # numpy lets a locked view of a writeable owner be unlocked again
+    owner = np.arange(6.0).reshape(2, 3)
+    record = odeint.OdeResult(t=owner[0], y=np.zeros((3, 1)), field_norm=np.zeros(3), stop_reason="t_max",
+                              n_steps=1, nfev=13, n_rejected=0, n_forced=0)
+    with pytest.raises(ValueError):
+        record.t.flags.writeable = True
+    owner[0, 0] = 99.0
+    assert record.t[0] == 0.0
 
 
 def test_samples_of_a_non_finite_recording_are_refused():
@@ -329,40 +340,66 @@ def _drift_by_np_linalg_norm(layers):
 
 
 def _norm_route_flows():
+    # numpy's pairwise sums change order past 8 terms, and layers here reach 36
     rng = np.random.default_rng(4)
     shapes = [(1, n, n) for n in (1, 2, 3)]
     shapes += [(depth, n, n + extra) for depth in (2, 3, 4) for n in (1, 2, 3) for extra in range(4)]
     cfg = IntegratorConfig(rtol=1e-8, atol=1e-10, t_max=5.0)
     with pytest.warns(DegenerateWidthWarning):
         nets = [NetShape(n, k, depth) for depth, n, k in shapes]
-    for shape in nets:
-        cost = QuadraticMatrixCost(np.eye(shape.n) + 0.3 * rng.standard_normal((shape.n, shape.n)))
-        yield integrate(random_init(shape, seed=int(rng.integers(2**31)), scale=0.5), cost, cfg), cost
-    diverging = parse_scalar_cost("-(w^2)").as_matrix()
-    yield integrate(random_init(NetShape(1, 2, 2), seed=2, scale=1.5), diverging, cfg), diverging
-    # the product overflows, so cost, gradient and balance norms are inf or nan
-    traj = integrate(random_init(NetShape(2, 3, 2), seed=0, scale=1e160), COST, cfg)
-    assert traj.stop_reason == "non_finite" and np.isinf(traj.cost[-1])
-    yield traj, COST
+    for grid in (None, np.linspace(0.0, cfg.t_max, 251)):
+        for shape in nets:
+            cost = QuadraticMatrixCost(np.eye(shape.n) + 0.3 * rng.standard_normal((shape.n, shape.n)))
+            stack0 = random_init(shape, seed=int(rng.integers(2**31)), scale=0.5)
+            yield integrate(stack0, cost, cfg, checkpoints=grid), cost
+        diverging = parse_scalar_cost("-(w^2)").as_matrix()
+        yield integrate(random_init(NetShape(1, 2, 2), seed=2, scale=1.5), diverging, cfg, checkpoints=grid), diverging
+        # the product overflows, so cost, gradient and balance norms are inf or nan
+        traj = integrate(random_init(NetShape(2, 3, 2), seed=0, scale=1e160), COST, cfg, checkpoints=grid)
+        assert traj.stop_reason == "non_finite" and np.isinf(traj.cost[-1])
+        yield traj, COST
+
+
+QUARTIC = parse_scalar_cost("(w - 1)^4 + (w - 1)^2")
+
+
+def _bytes(values) -> bytes:
+    return np.array(values, dtype=float).tobytes()
 
 
 def test_norms_match_the_numpy_wrappers_bit_for_bit(tmp_path):
+    """The stacked routes (whole recording at once) give the bytes of the
+    per-sample routes and of numpy's own sum and norm wrappers."""
     path = tmp_path / "traj.csv"
     for traj, cost in _norm_route_flows():
         write_trajectory_csv(traj, cost, str(path))
         column = [line.split(",")[3] for line in path.read_text().splitlines()[1:]]
-        layers = traj.layers()
+        layers = traj.layers
         # the last flow overflows everywhere; both routes must overflow alike
         with np.errstate(over="ignore", invalid="ignore"):
-            grad_f_norm = [float(np.linalg.norm(g)) for g in cost.gradient(product(layers))]
+            w = product(layers)
+            grad_f_norm = [float(np.linalg.norm(g)) for g in cost.gradient(w)]
             assert column == [f"{v:.17g}" for v in grad_f_norm]
+            if isinstance(cost, QuadraticMatrixCost):
+                per_matrix = [0.5 * float(np.sum((m - cost.target) * (m - cost.target))) for m in w]
+            else:
+                per_matrix = [cost.scalar.value(float(m[0, 0])) for m in w]
+            assert _bytes(cost.value(w)) == _bytes(traj.cost) == _bytes(per_matrix)
+            if traj.shape.n == 1:
+                quartic = QUARTIC.as_matrix()
+                assert _bytes(quartic.value(w)) == _bytes([QUARTIC.value(float(m[0, 0])) for m in w])
             if traj.shape.depth < 2:
                 continue
             assert drift_series(layers).tobytes() == _drift_by_np_linalg_norm(layers).tobytes()
+            inv, sets = invariants(traj), [invariants(s.stack) for s in traj.samples]
+            for i, traces in enumerate(inv.traces):
+                assert _bytes(traces) == _bytes([float(np.trace(s.matrices[i])) for s in sets])
             inv0 = invariants(traj.samples[0].stack)
-            for sample in traj.samples:
-                got, want = norm_chain_residual(sample.stack, inv0), _residual_by_np_sum(sample.stack, inv0)
-                assert np.array(got).tobytes() == np.array(want).tobytes()
+            got = norm_chain_residual(traj, inv0)
+            want = [_residual_by_np_sum(s.stack, inv0) for s in traj.samples]
+            assert _bytes(np.transpose(got)) == _bytes(want)
+            if traj.shape.depth == 2 and traj.shape.n == 1:
+                assert _bytes(imbalance_scalar(inv)) == _bytes([imbalance_scalar(s) for s in sets])
 
 
 def test_trajectory_csv_blank_imbalance_for_matrix_case(tmp_path):

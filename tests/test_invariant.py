@@ -78,9 +78,21 @@ def test_drift_stays_small_along_a_flow():
     traj = integrate(stack0, cost, cfg)
     assert traj.stop_reason == "converged"
     assert drift(traj) < 1e-8
-    inv0 = invariants(stack0)
-    worst = max(max(norm_chain_residual(s.stack, inv0)) for s in traj.samples)
-    assert worst < 1e-8
+    assert np.max(norm_chain_residual(traj, invariants(stack0))) < 1e-8
+
+
+def test_a_recording_gets_one_series_per_pair():
+    stack0 = random_init(NetShape(2, 4, 3), seed=2, scale=0.6)
+    traj = integrate(stack0, QuadraticMatrixCost(np.eye(2)), IntegratorConfig(t_max=5.0))
+    count = len(traj.t)
+    inv = invariants(traj)
+    assert [c.shape for c in inv.matrices] == [(count, 4, 4)] * 2
+    assert [tr.shape for tr in inv.traces] == [(count,)] * 2
+    residual = norm_chain_residual(traj, invariants(stack0))
+    assert [r.shape for r in residual] == [(count,)] * 2
+    # a stack still gets one float per pair
+    for got, series in zip(norm_chain_residual(stack0, invariants(stack0)), residual):
+        assert isinstance(got, float) and got == series[0]
 
 
 def test_drift_rejects_empty_trajectory():
