@@ -167,6 +167,8 @@ def load_config(path: str) -> RunConfig:
     if mode not in ("balanced", "random", "pair_rescale", "anti_balanced"):
         raise UsageError(f"unknown init mode {mode!r}")
     seed = _as_int(init_raw["seed"], "config.init.seed")
+    if seed < 0:
+        raise UsageError(f"config.init.seed must be nonnegative, got {seed}")
     scale = _as_real(init_raw["scale"], "config.init.scale")
     eta = init_raw.get("eta")
     if eta is not None:
@@ -216,11 +218,9 @@ def build_initial_stack(config: RunConfig) -> LayerStack:
         target = np.array([[config.scale]])
     try:
         stack = balanced_init(target, config.net)
+        return rescale_pair(stack, 1, config.eta) if mode == "pair_rescale" else stack
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    if mode == "pair_rescale":
-        stack = rescale_pair(stack, 1, config.eta)
-    return stack
 
 
 # ---------------------------------------------------------------------------

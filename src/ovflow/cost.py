@@ -399,7 +399,9 @@ def _tokenize(text: str) -> list[tuple[str, Union[float, str], int]]:
             try:
                 value = float(text[i:j])
             except ValueError:
-                raise ParseError(f"bad number literal {text[i:j]!r}", i) from None
+                value = math.inf
+            if math.isinf(value):  # malformed, or past the float range
+                raise ParseError(f"bad number literal {text[i:j]!r}", i)
             tokens.append(("num", value, i))
             i = j
             continue

@@ -268,71 +268,33 @@ def unpacker(shape: NetShape) -> Callable[[np.ndarray], list[np.ndarray]]:
     return unpack
 
 
-# The most arrays a flow field keeps layer views of; past that it forgets the
-# one bound first, and with it the chains that read or write that array. A
-# serial dop853 solve passes the same 18 arrays on every call, and its blocks
-# of checkpoint samples are never kept; a batched solve passes 15, and 13 new
-# ones each time rows leave the batch. A caller that passes fresh arrays
-# rebinds on every call.
-_MAX_BOUND = 24
-
-
 def flow_field(shape: NetShape, cost) -> Callable[[np.ndarray, np.ndarray], None]:
     """The gradient flow's right-hand side -grad g on flat states, one or a
     batch: ``field(y, out)`` writes the field at y into out.
 
-    The layer views of each array the field sees are made once and kept,
-    keyed by the array's id. So is one bound ``layer_gradients`` chain per
-    (y, out) pair, and the chain's work arrays per y, which all of y's
-    chains share: a solve replays prebuilt chains. A binding holds its
-    arrays, so their ids cannot be reused while bound; past ``_MAX_BOUND``
-    arrays the oldest binding is dropped with every chain that uses it.
-    Only arrays with the ndim of the first state the field saw are kept:
-    a serial solve's (m, d) blocks of checkpoint samples are new on every
-    step, so each goes through a chain bound for that call alone.
+    A caller that evaluates the field on the same arrays again and again
+    binds it once instead: ``field.bind(y, outs)`` unpacks y, builds the
+    chain's work arrays for it, and returns one run per array in outs. A
+    run writes the field at whatever y holds when it is called into its
+    out; the runs share y's views and work arrays, so one runs at a time.
+    The field keeps none of the arrays it is called or bound with.
     """
     unpack = unpacker(shape)
-    bound: dict[int, tuple[np.ndarray, list[np.ndarray]]] = {}
-    work: dict[int, tuple] = {}  # id(y) -> _bind_layers of its views
-    chains: dict[int, dict[int, Callable[[], None]]] = {}  # id(y) -> id(out) -> chain
-    kept_ndim = None  # the ndim of the first state seen
 
-    def views(arr: np.ndarray) -> list[np.ndarray]:
-        entry = bound.get(id(arr))
-        if entry is None:
-            if len(bound) >= _MAX_BOUND:
-                gone = next(iter(bound))
-                del bound[gone]
-                work.pop(gone, None)
-                chains.pop(gone, None)
-                for by_out in chains.values():
-                    by_out.pop(gone, None)
-            entry = bound[id(arr)] = (arr, unpack(arr))
-        return entry[1]
-
-    def bind(y: np.ndarray, out: np.ndarray) -> Callable[[], None]:
-        nonlocal kept_ndim
-        if kept_ndim is None:
-            kept_ndim = y.ndim
-        if y.ndim != kept_ndim:
-            return _bind_chain(_bind_layers(unpack(y)), cost, unpack(out))
-        layers, grads = views(y), views(out)
-        if id(y) not in bound:  # binding out dropped y, the oldest binding
-            return _bind_chain(_bind_layers(layers), cost, grads)
-        if id(y) not in work:
-            work[id(y)], chains[id(y)] = _bind_layers(layers), {}
-        run = chains[id(y)][id(out)] = _bind_chain(work[id(y)], cost, grads)
-        return run
+    def bind(y: np.ndarray, outs: Sequence[np.ndarray]) -> list[Callable[[], None]]:
+        work = _bind_layers(unpack(y))
+        return [partial(_negated, _bind_chain(work, cost, unpack(out)), out) for out in outs]
 
     def field(y: np.ndarray, out: np.ndarray) -> None:
-        try:
-            run = chains[id(y)][id(out)]
-        except KeyError:
-            run = bind(y, out)
-        run()
-        np.negative(out, out=out)
+        bind(y, (out,))[0]()
 
+    field.bind = bind
     return field
+
+
+def _negated(chain: Callable[[], None], out: np.ndarray) -> None:
+    chain()
+    np.negative(out, out=out)
 
 
 def _orthonormal_columns(k: int, n: int, rng: Optional[np.random.Generator]) -> np.ndarray:
@@ -395,8 +357,9 @@ def rescale_pair(stack: LayerStack, i: int, eta: float) -> LayerStack:
     if not 1 <= i < stack.shape.depth:
         raise ValueError(f"layer index {i} out of range 1..{stack.shape.depth - 1}")
     layers = list(stack.layers)
-    layers[i - 1] = layers[i - 1] * eta
-    layers[i] = layers[i] / eta
+    with np.errstate(over="ignore"):  # an overflow fails the stack's finiteness check
+        layers[i - 1] = layers[i - 1] * eta
+        layers[i] = layers[i] / eta
     return LayerStack(stack.shape, tuple(layers))
 
 

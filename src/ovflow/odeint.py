@@ -13,15 +13,15 @@ A field is called as ``field(y, out)`` and writes the field at y into out,
 an array of y's shape; its return value is ignored. y is one (d,) state or
 an (m, d) array of states, and every field serves both, row by row: the
 batched loop passes its (batch, d) arrays, and the serial loop passes the
-(m, d) block of a step's checkpoint samples in one call. Within one solve
-the loops pass the same arrays again and again: one stage-input buffer and
-the rows of one stage array, each made once (the batched loop makes them
-anew when rows leave the batch), and so the same few (y, out) pairs: after
-the first call, the stage-input buffer with each later stage row. A field
-may therefore keep work keyed by array identity, per array (views of its
-own structures) or per pair (a computation bound to both). It must not
-keep the arrays' contents: the loops rewrite them between calls. A block
-of checkpoint samples and its output are new arrays on every step.
+(m, d) block of a step's checkpoint samples in one call. The stages go to
+arrays that each loop makes once: one stage-input buffer and the rows of
+one stage array (the batched loop makes them anew when rows leave the
+batch). Each loop binds the field to them when it makes them: a field with
+a ``bind`` method gets ``field.bind(y, outs)`` and returns one run per
+out, a call without arguments that writes the field at whatever y holds
+into that out; any other field is bound as a plain call on the same
+arrays. A field must not keep the arrays' contents: the loops rewrite them
+between calls.
 
 The solver stops on whichever comes first: the field norm dropping below
 ``grad_tol`` (convergence), reaching ``t_max``, exhausting ``max_steps``,
@@ -40,6 +40,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -214,6 +215,14 @@ def _finite_by(size: float, arr: np.ndarray) -> bool:
 Field = Callable[[np.ndarray, np.ndarray], None]
 
 
+def _bind(field: Field, y: np.ndarray, outs: Sequence[np.ndarray]) -> list[Callable[[], None]]:
+    """One run per out of the field at whatever y holds: the field's own
+    ``bind`` if it has one, else a plain call."""
+    if hasattr(field, "bind"):
+        return field.bind(y, outs)
+    return [partial(field, y, out) for out in outs]
+
+
 def solve_flow(
     field: Field,
     y0: np.ndarray,
@@ -225,11 +234,11 @@ def solve_flow(
 
     field(y, out) writes the field at the (d,) state y into the (d,) array
     out, or, for an (m, d) array of states, each row's field into that row
-    of the (m, d) out. The first call sees the initial state; every later
-    call on a single state gets the solve's one stage-input buffer and one
-    of its stage rows, the same array objects each time. The checkpoints
-    inside a step are sampled from its dense output as one (m, d) block,
-    and the field is called once on that block.
+    of the (m, d) out. The first call sees the initial state. The stages
+    are evaluated by runs bound once per solve (see the module docstring) on
+    the solve's one stage-input buffer and its later stage rows. The
+    checkpoints inside a step are sampled from its dense output as one
+    (m, d) block, and the field is called once on that block.
 
     Every checkpoint in (0, t_max] that the run reaches is recorded, in time
     order with the steps, together with the field norm there. Every recorded
@@ -280,12 +289,12 @@ def solve_flow(
     # and math.sqrt below round exactly as matmul and np.linalg.norm
     prior = [stages[: i + 1] for i in range(len(stages) - 1)]
     step_stages = stages[:n_stages]
-    outs = list(stages)  # the field's output arrays, the same on every call
-    first, last = outs[0], outs[n_stages - 1]
-    # each stage's input is y + h * row.dot(the stages before it); its field goes to the next row
-    combos = [(row.dot, prior[i], outs[i + 1]) for i, row in enumerate(_DOP853_A)]
-    dense_combos = [(row.dot, prior[i], outs[i + 1]) for i, row in enumerate(_DOP853_A_EXTRA, len(_DOP853_A))]
+    first, last = stages[0], stages[n_stages - 1]
     y_stage = np.empty_like(y)
+    # each stage's input is y + h * row.dot(the stages before it); its field goes to the next row
+    runs = _bind(field, y_stage, stages[1:])
+    combos = [(row.dot, prior[i], runs[i]) for i, row in enumerate(_DOP853_A)]
+    dense_combos = [(row.dot, prior[i], runs[i]) for i, row in enumerate(_DOP853_A_EXTRA, len(_DOP853_A))]
     ctrl = np.empty(1)
     # numpy scales an array by a 0-d array faster than by a float, with the same rounding
     atol, rtol = np.array(cfg.atol), np.array(cfg.rtol)
@@ -320,9 +329,9 @@ def solve_flow(
 
         h_0d = np.array(h_try)
         with np.errstate(over="ignore", invalid="ignore"):
-            for dot, stages_before, out in combos:
+            for dot, stages_before, run in combos:
                 np.add(y, h_0d * dot(stages_before), out=y_stage)
-                field(y_stage, out)
+                run()
             nfev += len(combos)
             y_new = y + h_0d * _DOP853_B.dot(step_stages)
             fnorm_new = math.sqrt(last.dot(last))
@@ -352,9 +361,9 @@ def solve_flow(
             end = bisect_left(cps, t, cp_idx)  # checkpoints inside the step
             if end > cp_idx:
                 with np.errstate(over="ignore", invalid="ignore"):
-                    for dot, stages_before, out in dense_combos:
+                    for dot, stages_before, run in dense_combos:
                         np.add(y, h_0d * dot(stages_before), out=y_stage)
-                        field(y_stage, out)
+                        run()
                     dy = y_new - y
                     hermite = (dy, h_try * first - dy, 2.0 * dy - h_try * (last + first))
                     coef = np.vstack((*hermite, h_try * _DOP853_D.dot(stages)))
@@ -423,9 +432,10 @@ def solve_flow_batch(
 
     field(Y, out) writes the fields of a (b, d) array of states into the
     (b, d) array out, row by row. Apart from the first call, which sees the
-    initial states, the field gets a stage-input buffer and the rows of a
-    stage array, the same array objects from call to call until a row
-    leaves the batch and they are made anew at the smaller size.
+    initial states, the stages are evaluated by runs bound (see the module
+    docstring) on a stage-input buffer and the later rows of a stage array,
+    bound again whenever a row leaves the batch and the arrays are made
+    anew at the smaller size.
     Each row keeps its own time, step size, controller state and counts,
     and measures its error over its own entries, so it makes the accept and
     reject decisions that its solve_flow run makes as long as its error
@@ -452,8 +462,8 @@ def solve_flow_batch(
     steps, nfev, rejected, forced = (np.zeros(n_rows, dtype=int) for _ in range(4))
     nfev += 1
     # the stage array and stage-input buffer of every batch size are views of
-    # one block, so a shrinking batch allocates nothing; the field's arrays
-    # are made anew only when it shrinks
+    # one block, so a shrinking batch allocates nothing; the field is bound
+    # anew only when it shrinks
     block = np.empty((n_stages + 1) * Y.size)
 
     def buffers(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -461,9 +471,9 @@ def solve_flow_batch(
         return arrays[:-1], arrays[-1]
 
     stages, Y_stage = buffers(n_rows)
-    outs = list(stages)
+    runs = _bind(field, Y_stage, stages[1:])
     with np.errstate(over="ignore", invalid="ignore"):
-        field(Y, outs[0])
+        field(Y, stages[0])
         fnorm = np.linalg.norm(stages[0], axis=1)
     rows = np.arange(n_rows)
     results: list[Optional[OdeResult]] = [None] * n_rows
@@ -497,7 +507,7 @@ def solve_flow_batch(
             first = stages[0, keep]  # the next step's first stage, copied out
             stages, Y_stage = buffers(rows.size)
             stages[0] = first
-            outs = list(stages)
+            runs = _bind(field, Y_stage, stages[1:])
         if rows.size == 0:
             return results
 
@@ -508,7 +518,7 @@ def solve_flow_batch(
         with np.errstate(over="ignore", invalid="ignore"):
             for i, row in enumerate(_DOP853_A):
                 np.add(Y, hcol * (row @ flat[: i + 1]).reshape(Y.shape), out=Y_stage)
-                field(Y_stage, outs[i + 1])
+                runs[i]()
             nfev += len(_DOP853_A)
             Y_new = Y + hcol * (_DOP853_B @ flat).reshape(Y.shape)
             finite = np.isfinite(Y_new).all(axis=1) & np.isfinite(stages[-1]).all(axis=1)

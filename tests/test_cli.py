@@ -197,6 +197,8 @@ BAD_INPUTS = {
     "accelerate_t_max_1e9": [
         "accelerate", "--expr", "(1 - w)^2", "--z0", "0.5", "--c-low", "0", "--c-high", "1", "--t-max", "1e9", "--out",
     ],
+    # an exponent literal past the float range
+    "dichotomy_w_pow_1e400": ["dichotomy", "--expr", "w^1e400", "--out"],
 }
 
 
@@ -224,6 +226,28 @@ BAD_CONFIG_INPUTS = {
     ),
     "rtol_beyond_float": (
         {"integrator": dict(INTEGRATOR, rtol=10**400)}, ["simulate"], "config.integrator.rtol is too large",
+    ),
+    "pair_rescale_eta_zero": (
+        {"init": {"mode": "pair_rescale", "seed": 3, "scale": 0.5, "eta": 0}}, ["simulate"],
+        "eta must be finite and nonzero",
+    ),
+    # the second layer, divided by eta, overflows
+    "pair_rescale_eta_tiny": (
+        {"init": {"mode": "pair_rescale", "seed": 3, "scale": 0.5, "eta": 1e-320}}, ["simulate"],
+        "layer 2 contains non-finite entries",
+    ),
+    "anti_balanced_negative_seed": (
+        {
+            "cost": {"kind": "scalar_expr", "expr": "(1 - w)^2", "min_value": 0.0},
+            "net": {"n": 1, "k": 3, "depth": 2},
+            "init": {"mode": "anti_balanced", "seed": -1, "scale": 0.5},
+        },
+        ["simulate"],
+        "config.init.seed must be nonnegative, got -1",
+    ),
+    "sweep_negative_seed": (
+        {"init": {"mode": "random", "seed": -1, "scale": 0.5}}, ["sweep", "--runs", "3"],
+        "config.init.seed must be nonnegative, got -1",
     ),
 }
 

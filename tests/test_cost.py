@@ -82,6 +82,13 @@ def test_malformed_text_raises_with_position(text):
     assert "position" in str(info.value)
 
 
+@pytest.mark.parametrize("text, position", [("w^1e400", 2), ("w^-1e400", 3), ("1e400*w", 0), ("2 * 9e999", 4)])
+def test_a_number_literal_past_the_float_range_is_a_parse_error(text, position):
+    with pytest.raises(ParseError, match="bad number literal") as info:
+        parse_scalar_cost(text)
+    assert info.value.position == position
+
+
 # symbolic derivatives
 
 

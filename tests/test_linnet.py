@@ -1,5 +1,6 @@
 """Layer stacks: shapes, products, gradients, and the structured initializers."""
 
+import gc
 import warnings
 import weakref
 
@@ -271,10 +272,9 @@ def test_flow_field_writes_the_packed_field_bit_for_bit():
             assert row.tobytes() == (-pack(layer_gradients(unpack(y), cost))).tobytes(), shape
 
 
-def test_flow_field_binds_a_chain_per_pair_of_arrays():
-    # a chain is bound per (y, out) pair, and y's chains share its work
-    # arrays: a new y into a used out, and a used y into new outs (which past
-    # the binding limit drop y's own binding), must each give the field at y
+def test_a_bound_flow_field_writes_the_packed_field_bit_for_bit():
+    # field.bind(y, outs) gives one run per out, sharing y's views and work
+    # arrays; each run writes the field at whatever y holds when it runs
     rng = np.random.default_rng(21)
     scalar = parse_scalar_cost("w^4 - 3 * w^2 + w").as_matrix()
     for depth in range(1, 5):
@@ -285,17 +285,15 @@ def test_flow_field_binds_a_chain_per_pair_of_arrays():
                 field, unpack = flow_field(shape, cost), unpacker(shape)
                 dim = sum(r * c for r, c in layer_shapes(shape))
                 for lead in [(), (3,)]:
-                    def check(y, out):
-                        field(y, out)
-                        assert out.tobytes() == (-pack(layer_gradients(unpack(y), cost))).tobytes(), (shape, lead)
-
-                    y, out = rng.standard_normal(lead + (dim,)), np.empty(lead + (dim,))
-                    check(y, out)
-                    for _ in range(3):
-                        check(rng.standard_normal(lead + (dim,)), out)
-                    for _ in range(30):
-                        check(y, np.empty(lead + (dim,)))
-                    check(y, out)
+                    y, outs = np.empty(lead + (dim,)), list(np.empty((4,) + lead + (dim,)))
+                    runs = field.bind(y, outs)
+                    assert len(runs) == len(outs)
+                    for _ in range(3):  # y rewritten in place between rounds
+                        y[...] = rng.standard_normal(y.shape)
+                        want = (-pack(layer_gradients(unpack(y.copy()), cost))).tobytes()
+                        for run, out in zip(runs, outs):
+                            run()
+                            assert out.tobytes() == want, (shape, cost, lead)
 
 
 def test_flow_field_reads_a_rewritten_buffer_afresh():
@@ -315,7 +313,7 @@ def test_flow_field_reads_a_rewritten_buffer_afresh():
     assert out.tobytes() != want.tobytes()
 
 
-def test_flow_field_keeps_few_fresh_arrays_alive():
+def test_a_flow_field_keeps_none_of_the_arrays_it_was_called_with():
     shape = NetShape(n=2, k=4, depth=2)
     field = flow_field(shape, QuadraticMatrixCost(np.eye(2)))
     rng = np.random.default_rng(3)
@@ -325,5 +323,5 @@ def test_flow_field_keeps_few_fresh_arrays_alive():
         field(y, out)
         refs += [weakref.ref(y), weakref.ref(out)]
         del y, out
-    alive = sum(ref() is not None for ref in refs)
-    assert alive <= 24  # the binding keeps at most 24 arrays
+    gc.collect()
+    assert all(ref() is None for ref in refs)
