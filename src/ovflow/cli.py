@@ -374,6 +374,8 @@ def _cmd_accelerate(args) -> int:
 
 
 def _cmd_dichotomy(args) -> int:
+    if args.seed < 0:
+        raise UsageError(f"--seed must be nonnegative, got {args.seed}")
     cost = _scalar_cost(args.expr, args.min_value)
     try:
         cfg = IntegratorConfig(rtol=1e-10, atol=1e-12, t_max=args.t_max)

@@ -371,7 +371,7 @@ def to_string(expr: Expr) -> str:
 # tokenizer / parser
 
 
-def _tokenize(text: str) -> list[tuple[str, Union[float, str], int]]:
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
     i = 0
     n = len(text)
@@ -402,7 +402,7 @@ def _tokenize(text: str) -> list[tuple[str, Union[float, str], int]]:
                 value = math.inf
             if math.isinf(value):  # malformed, or past the float range
                 raise ParseError(f"bad number literal {text[i:j]!r}", i)
-            tokens.append(("num", value, i))
+            tokens.append(("num", text[i:j], i))  # the literal, so an exponent can be read exactly
             i = j
             continue
         if ch.isalpha():
@@ -488,10 +488,11 @@ class _Parser:
             self.advance()
             sign = -1 if value == "-" else 1
             kind, value, at = self.peek()
-        if kind != "num" or float(value) != int(float(value)):
+        if kind != "num" or not float(value).is_integer():
             raise ParseError("exponent must be an integer", at)
         self.advance()
-        return sign * int(float(value))
+        # all digits: read exactly, where a float would round past 2**53
+        return sign * (int(value) if value.isdigit() else int(float(value)))
 
     def base(self) -> Expr:
         kind, value, at = self.advance()

@@ -33,6 +33,15 @@ on a shared time grid. Steps are not shortened to land on them: each is
 sampled from DOP853's 7th-order dense output on the step that spans it, so
 a flow takes the same steps with or without checkpoints. Only ``t_max`` is
 landed on.
+
+The serial loop has one sample rule: the start, each finite checkpoint
+sample and each step end is tested for convergence, then asked the
+predicate, and recorded if it is kept (the start, a checkpoint, a step end
+on the record stride) or stops the run; any other stop appends the last
+accepted state unless the record already ends there or later. Each loop
+runs under one ``np.errstate(over="ignore", invalid="ignore")``, so a
+blowup is a clean non-finite stop, not a warning cascade; the predicate
+runs under the caller's error state, entered once per group of samples.
 """
 
 from __future__ import annotations
@@ -241,11 +250,11 @@ def solve_flow(
     (m, d) block, and the field is called once on that block.
 
     Every checkpoint in (0, t_max] that the run reaches is recorded, in time
-    order with the steps, together with the field norm there. Every recorded
-    sample is tested for convergence (field norm below grad_tol) and then
-    asked stop_when, so nothing past the stop is recorded; a non-finite
-    sample stops the run before it is recorded. stop_when runs under the
-    caller's numpy error state, at checkpoints as at step ends.
+    order with the steps, together with the field norm there. Every sample,
+    recorded or not, is tested for convergence (field norm below grad_tol)
+    and then asked stop_when, so nothing past the stop is recorded; a
+    non-finite sample stops the run before it is recorded. stop_when runs
+    under the caller's numpy error state, at checkpoints as at step ends.
 
     nfev counts the states the field was evaluated at: one per call on a
     single state and m per block, the rows past a stop inside the block
@@ -263,15 +272,33 @@ def solve_flow(
     ts: list[float] = []
     ys: list[np.ndarray] = []
     fns: list[float] = []
+    caller = np.geterr()
 
-    def record(t: float, state: np.ndarray, fnorm: float) -> None:
-        if ts and ts[-1] == t:
-            return
-        ts.append(t)
-        ys.append(state)  # never written to: every step makes fresh states
-        fns.append(fnorm)
+    def admit(times, states, norms, kept: bool) -> Optional[str]:
+        """Record a group of finite samples up to the first that converges
+        or, asked under the caller's error state, trips stop_when, and the
+        rest only if kept. Return the stop reason, or None."""
+        end = next((j for j, norm in enumerate(norms) if norm < cfg.grad_tol), len(norms))
+        reason = "converged" if end < len(norms) else None
+        if stop_when is not None and end:
+            with np.errstate(**caller):
+                hit = next((j for j in range(end) if stop_when(times[j], states[j])), None)
+            if hit is not None:
+                end, reason = hit, "stopped"
+        if reason is None and not kept:
+            return None
+        # up to and with the sample that stops the run; end + 1 is past the group's end otherwise
+        ts.extend(times[: end + 1])
+        ys.extend(states[: end + 1])  # never written to: every step makes fresh states
+        fns.extend(norms[: end + 1])
+        return reason
 
     def finish(reason: str) -> OdeResult:
+        """The record, ending at the last accepted state unless it ends there or later."""
+        if not ts or ts[-1] < t:
+            ts.append(t)
+            ys.append(y)
+            fns.append(fnorm)
         return OdeResult(
             t=np.array(ts),
             y=np.array(ys),
@@ -298,44 +325,37 @@ def solve_flow(
     ctrl = np.empty(1)
     # numpy scales an array by a 0-d array faster than by a float, with the same rounding
     atol, rtol = np.array(cfg.atol), np.array(cfg.rtol)
+    t = 0.0
     steps = rejected = forced = 0
     nfev = 1
-    # blowups are expected to overflow in the field; the finiteness checks
-    # turn them into a clean stop instead of a warning cascade
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # see the module docstring
         field(y, first)
         fnorm = math.sqrt(first.dot(first))
-    record(0.0, y, fnorm)
-    if not _finite(first):
-        return finish("non_finite")
-    if fnorm < cfg.grad_tol:
-        return finish("converged")
-    if stop_when is not None and stop_when(0.0, y):
-        return finish("stopped")
+        reason = admit([t], [y], [fnorm], True) if _finite(first) else "non_finite"
+        if reason is not None:
+            return finish(reason)
 
-    t = 0.0
-    h = min(max(cfg.h0, _H_MIN), _H_MAX)
-    abs_y = np.abs(y)  # carried over from each accepted step
-    retry = False  # the last try was rejected
-    cp_idx = 0
+        h = min(max(cfg.h0, _H_MIN), _H_MAX)
+        abs_y = np.abs(y)  # carried over from each accepted step
+        retry = False  # the last try was rejected
+        cp_idx = 0
 
-    while True:
-        if steps >= cfg.max_steps:
-            record(t, y, fnorm)
-            return finish("max_steps")
+        while True:
+            if steps >= cfg.max_steps:
+                return finish("max_steps")
 
-        landing = t + h >= cfg.t_max - 1e-14 * max(1.0, cfg.t_max)
-        h_try = cfg.t_max - t if landing else h
+            landing = t + h >= cfg.t_max - 1e-14 * max(1.0, cfg.t_max)
+            h_try = cfg.t_max - t if landing else h
 
-        h_0d = np.array(h_try)
-        with np.errstate(over="ignore", invalid="ignore"):
+            h_0d = np.array(h_try)
             for dot, stages_before, run in combos:
                 np.add(y, h_0d * dot(stages_before), out=y_stage)
                 run()
             nfev += len(combos)
             y_new = y + h_0d * _DOP853_B.dot(step_stages)
             fnorm_new = math.sqrt(last.dot(last))
-            finite = _finite_by(fnorm_new, last) and _finite_by(y_new.dot(y_new), y_new)
+            if not (_finite_by(fnorm_new, last) and _finite_by(y_new.dot(y_new), y_new)):
+                return finish("non_finite")
             abs_new = np.abs(y_new)
             scale = atol + rtol * np.maximum(abs_y, abs_new)
             r5, r3 = _DOP853_E5.dot(step_stages) / scale, _DOP853_E3.dot(step_stages) / scale
@@ -343,31 +363,26 @@ def solve_flow(
             n5 = np.add.reduce(r5 * r5)
             denom = (n5 + 0.01 * np.add.reduce(r3 * r3)) * y.size
             err = h_try * n5 / math.sqrt(denom) if denom else 0.0  # 0 only when both estimates are
+            if math.isnan(err):
+                err = math.inf
 
-        if not finite:
-            record(t, y, fnorm)
-            return finish("non_finite")
-        if math.isnan(err):
-            err = math.inf
+            # np.power, not float **: it rounds as the batched loop's powers do
+            ctrl[0] = max(err, 1e-10)
+            p_err = np.power(ctrl, _ERR_EXPONENT, out=ctrl).item()
 
-        # np.power, not float **: it rounds as the batched loop's powers do
-        ctrl[0] = max(err, 1e-10)
-        p_err = np.power(ctrl, _ERR_EXPONENT, out=ctrl).item()
-
-        if err <= 1.0 or h_try <= _H_MIN * 1.0000001:
-            steps += 1
-            forced += int(err > 1.0)
-            t_old, t = t, cfg.t_max if landing else t + h_try
-            end = bisect_left(cps, t, cp_idx)  # checkpoints inside the step
-            if end > cp_idx:
-                with np.errstate(over="ignore", invalid="ignore"):
+            if err <= 1.0 or h_try <= _H_MIN * 1.0000001:
+                steps += 1
+                forced += int(err > 1.0)
+                t_new = cfg.t_max if landing else t + h_try
+                end = bisect_left(cps, t_new, cp_idx)  # checkpoints inside the step
+                if end > cp_idx:
                     for dot, stages_before, run in dense_combos:
                         np.add(y, h_0d * dot(stages_before), out=y_stage)
                         run()
                     dy = y_new - y
                     hermite = (dy, h_try * first - dy, 2.0 * dy - h_try * (last + first))
                     coef = np.vstack((*hermite, h_try * _DOP853_D.dot(stages)))
-                    x = (np.array(cps[cp_idx:end]) - t_old) / h_try
+                    x = (np.array(cps[cp_idx:end]) - t) / h_try
                     weights = np.where(_EVEN_ROWS, x[:, None], 1.0 - x[:, None]).cumprod(axis=1)
                     block = y + weights.dot(coef)  # one row per checkpoint
                     block_field = np.empty_like(block)
@@ -375,52 +390,32 @@ def solve_flow(
                     nfev += len(dense_combos) + len(block)
                     norms = [math.sqrt(r.dot(r)) for r in block_field]
                     finite = np.isfinite(block).all(axis=1) & np.isfinite(block_field).all(axis=1)
-                # the samples up to the first that is non-finite, converges or
-                # trips stop_when, in that order of precedence per sample
-                bad = len(block) if finite.all() else int(np.argmin(finite))
-                keep, reason = bad, ("non_finite" if bad < len(block) else None)
-                for j in range(bad):
-                    if norms[j] < cfg.grad_tol:
-                        keep, reason = j + 1, "converged"
-                        break
-                    if stop_when is not None and stop_when(cps[cp_idx + j], block[j]):
-                        keep, reason = j + 1, "stopped"
-                        break
-                if keep == 0:  # the first sample is non-finite: the step's start is the last finite one
-                    record(t_old, y, fnorm)
-                ts.extend(cps[cp_idx : cp_idx + keep])
-                ys.extend(block[:keep])
-                fns.extend(norms[:keep])
+                    # the samples before the first non-finite one, which ends the run unrecorded
+                    ok = len(block) if finite.all() else int(np.argmin(finite))
+                    reason = admit(cps[cp_idx : cp_idx + ok], block[:ok], norms[:ok], True)
+                    if reason is not None or ok < len(block):
+                        return finish(reason or "non_finite")
+                t, y, abs_y = t_new, y_new, abs_new
+                first[...] = last  # first-same-as-last
+                fnorm = fnorm_new
+
+                cp_at_end = end < len(cps) and cps[end] == t
+                cp_idx = end + cp_at_end
+                if landing:
+                    return finish("converged" if fnorm < cfg.grad_tol else "t_max")
+                reason = admit([t], [y], [fnorm], cp_at_end or steps % cfg.record_stride == 0)
                 if reason is not None:
                     return finish(reason)
-            y, abs_y = y_new, abs_new
-            first[...] = last  # first-same-as-last
-            fnorm = fnorm_new
 
-            cp_at_end = end < len(cps) and cps[end] == t
-            cp_idx = end + cp_at_end
-            if cp_at_end or steps % cfg.record_stride == 0:
-                record(t, y, fnorm)
-
-            if fnorm < cfg.grad_tol:
-                record(t, y, fnorm)
-                return finish("converged")
-            if landing:
-                record(t, y, fnorm)
-                return finish("t_max")
-            if stop_when is not None and stop_when(t, y):
-                record(t, y, fnorm)
-                return finish("stopped")
-
-            # a step right after a rejected try may not grow
-            factor = min(1.0 if retry else 5.0, max(0.2, _SAFETY * p_err))
-            h = min(max(h * factor, _H_MIN), _H_MAX)
-            retry = False
-        else:
-            rejected += 1
-            factor = max(0.2, _SAFETY * p_err)
-            h = min(max(h_try * factor, _H_MIN), _H_MAX)
-            retry = True
+                # a step right after a rejected try may not grow
+                factor = min(1.0 if retry else 5.0, max(0.2, _SAFETY * p_err))
+                h = min(max(h * factor, _H_MIN), _H_MAX)
+                retry = False
+            else:
+                rejected += 1
+                factor = max(0.2, _SAFETY * p_err)
+                h = min(max(h_try * factor, _H_MIN), _H_MAX)
+                retry = True
 
 
 def solve_flow_batch(
@@ -461,20 +456,8 @@ def solve_flow_batch(
     retry = np.zeros(n_rows, dtype=bool)  # a row's last try was rejected
     steps, nfev, rejected, forced = (np.zeros(n_rows, dtype=int) for _ in range(4))
     nfev += 1
-    # the stage array and stage-input buffer of every batch size are views of
-    # one block, so a shrinking batch allocates nothing; the field is bound
-    # anew only when it shrinks
-    block = np.empty((n_stages + 1) * Y.size)
-
-    def buffers(n: int) -> tuple[np.ndarray, np.ndarray]:
-        arrays = block[: (n_stages + 1) * n * Y.shape[1]].reshape(n_stages + 1, n, Y.shape[1])
-        return arrays[:-1], arrays[-1]
-
-    stages, Y_stage = buffers(n_rows)
+    stages, Y_stage = np.empty((n_stages, *Y.shape)), np.empty_like(Y)
     runs = _bind(field, Y_stage, stages[1:])
-    with np.errstate(over="ignore", invalid="ignore"):
-        field(Y, stages[0])
-        fnorm = np.linalg.norm(stages[0], axis=1)
     rows = np.arange(n_rows)
     results: list[Optional[OdeResult]] = [None] * n_rows
 
@@ -492,30 +475,32 @@ def solve_flow_batch(
             )
 
     t_end = cfg.t_max - 1e-14 * max(1.0, cfg.t_max)
-    stopped = ~np.isfinite(stages[0]).all(axis=1)
-    retire(stopped, "non_finite")
-    converged = ~stopped & (fnorm < cfg.grad_tol)
-    retire(converged, "converged")
-    stopped |= converged
+    with np.errstate(over="ignore", invalid="ignore"):
+        field(Y, stages[0])
+        fnorm = np.linalg.norm(stages[0], axis=1)
+        stopped = ~np.isfinite(stages[0]).all(axis=1)
+        retire(stopped, "non_finite")
+        converged = ~stopped & (fnorm < cfg.grad_tol)
+        retire(converged, "converged")
+        stopped |= converged
 
-    while True:
-        if stopped.any():
-            keep = ~stopped
-            rows, Y, t, h, retry, steps, nfev, rejected, forced, fnorm = (
-                a[keep] for a in (rows, Y, t, h, retry, steps, nfev, rejected, forced, fnorm)
-            )
-            first = stages[0, keep]  # the next step's first stage, copied out
-            stages, Y_stage = buffers(rows.size)
-            stages[0] = first
-            runs = _bind(field, Y_stage, stages[1:])
-        if rows.size == 0:
-            return results
+        while True:
+            if stopped.any():
+                keep = ~stopped
+                rows, Y, t, h, retry, steps, nfev, rejected, forced, fnorm = (
+                    a[keep] for a in (rows, Y, t, h, retry, steps, nfev, rejected, forced, fnorm)
+                )
+                # the next step's first stage, then fresh rows for the others
+                stages = np.concatenate((stages[:1, keep], np.empty((n_stages - 1, *Y.shape))))
+                Y_stage = np.empty_like(Y)
+                runs = _bind(field, Y_stage, stages[1:])
+            if rows.size == 0:
+                return results
 
-        landing = t + h >= t_end
-        h_try = np.where(landing, cfg.t_max - t, h)
-        hcol = h_try[:, None]
-        flat = stages.reshape(n_stages, -1)  # a view: stage i is row i of flat
-        with np.errstate(over="ignore", invalid="ignore"):
+            landing = t + h >= t_end
+            h_try = np.where(landing, cfg.t_max - t, h)
+            hcol = h_try[:, None]
+            flat = stages.reshape(n_stages, -1)  # a view: stage i is row i of flat
             for i, row in enumerate(_DOP853_A):
                 np.add(Y, hcol * (row @ flat[: i + 1]).reshape(Y.shape), out=Y_stage)
                 runs[i]()
@@ -539,21 +524,20 @@ def solve_flow_batch(
             h = np.where(accept, h * grow, h_try * factor).clip(_H_MIN, _H_MAX)
             retry = ~accept
 
-        steps += accept
-        t = np.where(accept, np.where(landing, cfg.t_max, t + h_try), t)
-        Y[accept] = Y_new[accept]
-        stages[0, accept] = stages[-1, accept]
-        with np.errstate(over="ignore", invalid="ignore"):
+            steps += accept
+            t = np.where(accept, np.where(landing, cfg.t_max, t + h_try), t)
+            Y[accept] = Y_new[accept]
+            stages[0, accept] = stages[-1, accept]
             fnorm[accept] = np.linalg.norm(stages[0, accept], axis=1)
 
-        stopped = ~finite
-        retire(stopped, "non_finite")
-        # the serial loop's stop tests, in its order
-        for reason, hit in (
-            ("converged", fnorm < cfg.grad_tol),
-            ("t_max", t >= t_end),
-            ("max_steps", steps >= cfg.max_steps),
-        ):
-            hit &= accept & ~stopped
-            retire(hit, reason)
-            stopped |= hit
+            stopped = ~finite
+            retire(stopped, "non_finite")
+            # the serial loop's stop tests, in its order
+            for reason, hit in (
+                ("converged", fnorm < cfg.grad_tol),
+                ("t_max", t >= t_end),
+                ("max_steps", steps >= cfg.max_steps),
+            ):
+                hit &= accept & ~stopped
+                retire(hit, reason)
+                stopped |= hit

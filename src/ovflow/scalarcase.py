@@ -226,7 +226,9 @@ def compare_acceleration(
 
     Preconditions: z0, c_low and c_high are finite, c_low < c_high and the
     start is not already critical (f'(z0) != 0). With c_low = 0 and z0 = 0
-    the low run never moves; that degenerate race is refused.
+    the low run never moves; that degenerate race is refused, as is a race
+    whose runs share no sample after t = 0 (one stopped before the first
+    checkpoint).
     """
     if not all(map(math.isfinite, (z0, c_low, c_high))):
         raise ValueError(f"z0, c_low and c_high must be finite, got {z0}, {c_low} and {c_high}")
@@ -242,6 +244,11 @@ def compare_acceleration(
     high = reduced_flow(cost, c_high, z0, cfg, checkpoints=grid)
 
     t_shared, i_low, i_high = np.intersect1d(low.t, high.t, return_indices=True)
+    if not (t_shared > 0.0).any():
+        raise ValueError(
+            f"the runs share no sample after t = 0: the c = {c_low:g} run ends at t = {low.t[-1]:g}"
+            f" ({low.stop_reason}) and the c = {c_high:g} run at t = {high.t[-1]:g} ({high.stop_reason})"
+        )
 
     tau_low = reparameterize_time(low, c_low)
     tau_high = reparameterize_time(high, c_high)

@@ -184,6 +184,15 @@ def _clip_curve(w1: np.ndarray, w2: np.ndarray, bounds) -> np.ndarray:
     return np.column_stack([w1[keep], w2[keep]])
 
 
+# each portrait kind's field, the activation whose reciprocal is its target
+# curve w2 = 1 / act(w1), and the map from w1 to the origin's separatrix
+# branches (plus, minus)
+_PORTRAIT_KINDS = {
+    "sigmoid": (sig_flow_field, sigma, manifold_curve),
+    "linear": (linear_field, lambda w1: w1, lambda w1: (w1, -w1)),
+}
+
+
 def phase_portrait(
     bounds: tuple[float, float, float, float],
     grid: int,
@@ -195,42 +204,31 @@ def phase_portrait(
     Overlays: the target (equilibrium) curve branches, and, when requested,
     the origin's separatrix branches from the closed-form expressions.
     """
-    if kind not in ("sigmoid", "linear"):
+    if kind not in _PORTRAIT_KINDS:
         raise ValueError(f"kind must be 'sigmoid' or 'linear', got {kind!r}")
     lo1, hi1, lo2, hi2 = (float(b) for b in bounds)
     if not (lo1 < hi1 and lo2 < hi2):
         raise ValueError(f"degenerate bounds {bounds}")
     if grid < 2:
         raise ValueError("grid must be at least 2")
+    field, activation, manifold = _PORTRAIT_KINDS[kind]
 
     xs = np.linspace(lo1, hi1, grid)
     ys = np.linspace(lo2, hi2, grid)
     g1, g2 = np.meshgrid(xs, ys, indexing="ij")
-    if kind == "sigmoid":
-        d1, d2 = sig_flow_field(g1, g2)
-    else:
-        d1, d2 = linear_field(g1, g2)
+    d1, d2 = field(g1, g2)
 
-    overlays = []
     span = np.linspace(lo1, hi1, 801)
-    if kind == "sigmoid":
-        # target curve w2 = 1 / sigma(w1), one branch per sign of w1
-        pos = span[span > 1e-3]
-        neg = span[span < -1e-3]
-        overlays.append(("target_pos", _clip_curve(pos, 1.0 / np.asarray(sigma(pos)), bounds)))
-        overlays.append(("target_neg", _clip_curve(neg, 1.0 / np.asarray(sigma(neg)), bounds)))
-        if include_manifolds:
-            plus, minus = manifold_curve(span)
-            overlays.append(("manifold_plus", _clip_curve(span, np.asarray(plus), bounds)))
-            overlays.append(("manifold_minus", _clip_curve(span, np.asarray(minus), bounds)))
-    else:
-        pos = span[span > 1e-3]
-        neg = span[span < -1e-3]
-        overlays.append(("target_pos", _clip_curve(pos, 1.0 / pos, bounds)))
-        overlays.append(("target_neg", _clip_curve(neg, 1.0 / neg, bounds)))
-        if include_manifolds:
-            overlays.append(("manifold_plus", _clip_curve(span, span, bounds)))
-            overlays.append(("manifold_minus", _clip_curve(span, -span, bounds)))
+    pos = span[span > 1e-3]  # one target branch per sign of w1
+    neg = span[span < -1e-3]
+    overlays = [
+        ("target_pos", _clip_curve(pos, 1.0 / np.asarray(activation(pos)), bounds)),
+        ("target_neg", _clip_curve(neg, 1.0 / np.asarray(activation(neg)), bounds)),
+    ]
+    if include_manifolds:
+        plus, minus = manifold(span)
+        overlays.append(("manifold_plus", _clip_curve(span, np.asarray(plus), bounds)))
+        overlays.append(("manifold_minus", _clip_curve(span, np.asarray(minus), bounds)))
 
     return PortraitData(
         kind=kind,

@@ -199,6 +199,11 @@ BAD_INPUTS = {
     ],
     # an exponent literal past the float range
     "dichotomy_w_pow_1e400": ["dichotomy", "--expr", "w^1e400", "--out"],
+    # the high-c run leaves the float range on its first step, so the race shares only t = 0
+    "accelerate_no_shared_sample": [
+        "accelerate", "--expr", "(1 - w)^2", "--z0", "0.5", "--c-low", "0", "--c-high", "1e30", "--t-max", "1", "--out",
+    ],
+    "dichotomy_negative_seed": ["dichotomy", "--expr", "(1 - w)^2", "--min-value", "0", "--seed", "-1", "--out"],
 }
 
 
@@ -215,6 +220,11 @@ def _run_to_one_error_line(argv) -> str:
 def test_bad_input_exits_1_with_a_message(tmp_path, case):
     _run_to_one_error_line([*BAD_INPUTS[case], str(tmp_path / "out")])
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_negative_seed_is_named_in_the_error(tmp_path, capsys):
+    assert main([*BAD_INPUTS["dichotomy_negative_seed"], str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: --seed must be nonnegative, got -1\n"
 
 
 # the same for inputs that need a config file: each case gives the config's

@@ -54,6 +54,23 @@ def test_unary_minus_and_signed_exponent():
     assert parse_scalar_cost("(1 + w^2)^-1").value(1.0) == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize(
+    "text, exponent",
+    [
+        # past 2**53 a float would round these
+        ("w^9007199254740993", 9007199254740993),
+        ("w^-9007199254740993", -9007199254740993),
+        ("w^99999999999999999999", 99999999999999999999),
+        ("w^2.0", 2),
+        ("w^1e3", 1000),
+    ],
+)
+def test_an_integer_exponent_literal_is_read_exactly(text, exponent):
+    expression = parse_scalar_cost(text).expression
+    assert expression == Pow(Var(), exponent) and type(expression.exponent) is int
+    assert to_string(expression) == f"w^{exponent}"
+
+
 def test_division_flag_and_semantics():
     cost = parse_scalar_cost("1 / (1 + w^2)")
     assert cost.uses_division

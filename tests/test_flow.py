@@ -671,6 +671,70 @@ def test_stop_when_runs_under_the_callers_error_state(where):
         assert solve_flow(_decay, np.array([1.0]), cfg, **kwargs).stop_reason == "t_max"
 
 
+def _nan_in_blocks_below(level):
+    """_decay, but NaN on the rows of a checkpoint block below level."""
+
+    def field(y, out):
+        _decay(y, out)
+        if y.ndim == 2:
+            out[y[:, 0] < level] = np.nan
+
+    return field
+
+
+_GRID = np.arange(1, 2001) * 0.01
+_TO_1E4 = IntegratorConfig(t_max=20.0, grad_tol=1e-4)  # e^{-t} first falls below 1e-4 on the grid at 9.22
+_PAST_1E4 = dataclasses.replace(_TO_1E4, grad_tol=1e-12)
+_BELOW_1E4 = {"stop_when": lambda t, y: y[0] < 1e-4}
+_NEVER = {"stop_when": lambda t, y: False}
+# the reason, the field, the config, solve_flow's keywords and where the run must end
+STOP_CASES = {
+    "converged_at_a_step_end": ("converged", _decay, _TO_1E4, {}, lambda res: not np.isin(res.t[-1], _GRID)),
+    "converged_in_a_block": ("converged", _decay, _TO_1E4, {"checkpoints": _GRID}, lambda res: res.t[-1] == 9.22),
+    "stopped_at_a_step_end": (
+        "stopped", _decay, _PAST_1E4, _BELOW_1E4, lambda res: not np.isin(res.t[-1], _GRID),
+    ),
+    "stopped_in_a_block": (
+        "stopped", _decay, _PAST_1E4, {"checkpoints": _GRID, **_BELOW_1E4}, lambda res: res.t[-1] == 9.22,
+    ),
+    "non_finite_at_the_start": (
+        "non_finite", lambda y, out: out.fill(np.nan), _PAST_1E4, {}, lambda res: res.t.tolist() == [0.0],
+    ),
+    "non_finite_in_a_block": (
+        "non_finite", _nan_in_blocks_below(math.exp(-9.215)), _PAST_1E4, {"checkpoints": _GRID, **_NEVER},
+        lambda res: res.t[-1] == 9.21,
+    ),
+    "non_finite_at_a_step": (
+        # y' = 1 up to y = 2, where the field turns infinite
+        "non_finite", lambda y, out: out.fill(np.inf if y[0] > 2.0 else 1.0), _PAST_1E4, _NEVER,
+        lambda res: res.n_steps > 0 and res.y[-1, 0] <= 2.0 and np.isfinite(res.field_norm).all(),
+    ),
+    "max_steps": (
+        "max_steps", _decay, IntegratorConfig(t_max=10.0, max_steps=3), {"checkpoints": _GRID, **_NEVER},
+        lambda res: res.n_steps == 3 and res.t[-1] not in res.t[:-1],
+    ),
+    "t_max": ("t_max", _decay, _PAST_1E4, {"checkpoints": _GRID, **_NEVER}, lambda res: res.t[-1] == 20.0),
+}
+
+
+@pytest.mark.parametrize("state", [{"all": "raise"}, {"over": "warn", "invalid": "print", "divide": "ignore", "under": "ignore"}])
+@pytest.mark.parametrize("case", STOP_CASES)
+def test_every_stop_leaves_the_callers_error_state(case, state):
+    # the solver ignores overflow in its own arithmetic under one error
+    # state, and hands back the caller's, which stop_when sees at every call
+    reason, field, cfg, kwargs, ends_where = STOP_CASES[case]
+    asked = []  # the error state at each stop_when call
+    given = kwargs.get("stop_when")
+    if given is not None:
+        kwargs = dict(kwargs, stop_when=lambda t, y: asked.append(np.geterr()) or given(t, y))
+    with np.errstate(**state):
+        callers = np.geterr()
+        res = solve_flow(field, np.array([1.0]), cfg, **kwargs)
+        assert np.geterr() == callers
+    assert res.stop_reason == reason and ends_where(res)
+    assert bool(asked) == (given is not None) and all(errors == callers for errors in asked)
+
+
 def test_nfev_counts_every_field_evaluation():
     shape = NetShape(2, 3, 2)
     field = flow_field(shape, COST)
