@@ -27,12 +27,7 @@ from ovflow.invariant import drift, invariants, norm_chain_residual
 from ovflow.linnet import LayerStack, NetShape, balanced_init, layer_shapes, product, random_init, read_stack_csv, rescale_pair
 from ovflow.odeint import IntegratorConfig
 from ovflow.saddle import certify_strict_saddle, write_certificate_csv
-from ovflow.scalarcase import (
-    anti_balanced,
-    compare_acceleration,
-    dichotomy_experiment,
-    to_stack,
-)
+from ovflow.scalarcase import anti_balanced, compare_acceleration, dichotomy_experiment
 from ovflow.sigmoid import (
     PortraitData,
     manifold_curve,
@@ -69,7 +64,6 @@ class _ArgumentParser(argparse.ArgumentParser):
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
     cost: object  # QuadraticMatrixCost or ScalarMatrixCost
-    scalar: Optional[ScalarCost]  # None for a matrix cost
     net: NetShape
     init_mode: str
     seed: int
@@ -135,7 +129,6 @@ def load_config(path: str) -> RunConfig:
     if not isinstance(cost_raw, dict) or "kind" not in cost_raw:
         raise UsageError("config.cost needs a 'kind'")
     kind = cost_raw["kind"]
-    scalar = None
     if kind == "matrix_quadratic":
         _check_keys(cost_raw, "config.cost", ("kind", "target"))
         try:
@@ -148,10 +141,9 @@ def load_config(path: str) -> RunConfig:
         if min_value is not None:
             min_value = _as_real(min_value, "config.cost.min_value")
         try:
-            scalar = parse_scalar_cost(cost_raw["expr"], min_value=min_value)
+            cost = parse_scalar_cost(cost_raw["expr"], min_value=min_value).as_matrix()
         except ParseError as exc:
             raise UsageError(f"bad cost expression: {exc}") from exc
-        cost = scalar.as_matrix()
     else:
         raise UsageError(f"unknown cost kind {kind!r}")
 
@@ -176,14 +168,13 @@ def load_config(path: str) -> RunConfig:
     if mode == "pair_rescale" and eta is None:
         raise UsageError("init mode pair_rescale needs 'eta'")
     if mode == "anti_balanced":
-        if scalar is None or net.n != 1 or net.depth != 2:
+        if isinstance(cost, QuadraticMatrixCost) or net.n != 1 or net.depth != 2:
             raise UsageError("init mode anti_balanced needs a scalar cost with n=1, depth=2")
 
     integrator = _section(raw["integrator"], IntegratorConfig, "config.integrator", "bad integrator settings")
 
     return RunConfig(
         cost=cost,
-        scalar=scalar,
         net=net,
         init_mode=mode,
         seed=seed,
@@ -205,11 +196,11 @@ def build_initial_stack(config: RunConfig) -> LayerStack:
         rng = np.random.default_rng(config.seed)
         w2 = rng.normal(0.0, config.scale, size=config.net.k)
         try:
-            return to_stack(anti_balanced(w2, config.scalar))
+            return anti_balanced(w2, config.cost.scalar)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
     # balanced and pair_rescale factor a target through the stack
-    if config.scalar is None:
+    if isinstance(config.cost, QuadraticMatrixCost):
         target = config.cost.target
     else:
         # scalar cost: factor the 1 x 1 matrix [[scale]]

@@ -159,9 +159,7 @@ _TRANSPOSE = operator.attrgetter("T")
 _SWAP_LAST = operator.methodcaller("swapaxes", -1, -2)
 
 
-def layer_gradients(
-    layers: Sequence[np.ndarray], cost, out: Optional[Sequence[np.ndarray]] = None
-) -> list[np.ndarray]:
+def layer_gradients(layers: Sequence[np.ndarray], cost) -> list[np.ndarray]:
     """Per-layer gradients of g = f(product) at the layers W_1, ..., W_N.
 
     One backward chain, 3N - 3 small matrix products in all: the prefixes
@@ -169,11 +167,7 @@ def layer_gradients(
     back = grad f(W) and for i = N, ..., 2, grad_i = back P_{i-1}^T and
     back = W_i^T back; grad_1 is the last back. Each layer may also be a
     stack of shape (B, rows, cols), one matrix per flow of a batch; the
-    gradients then come back stacked the same way. Given ``out``, one
-    writeable float array per layer, of that layer's shape, the gradients
-    are written into it and it is returned. For 2-D layers each must be
-    C-contiguous, since ``ndarray.dot`` writes into nothing else; a stack's
-    may be strided, such as the (B, rows, cols) views of a batch's rows.
+    gradients then come back stacked the same way.
 
     The matrices are tiny, so a product's cost is numpy's dispatch, not its
     flops: 2-D layers take ``ndarray.dot``, which has about half the
@@ -182,10 +176,9 @@ def layer_gradients(
     ``matmul``, because ``dot`` on 3-D arrays is not a batched product, and
     ``swapaxes``.
     """
-    if out is None:
-        out = [np.empty(layer.shape) for layer in layers]
+    out = [np.empty(layer.shape) for layer in layers]
     _bind_chain(_bind_layers(layers), cost, out)()
-    return list(out)
+    return out
 
 
 def _bind_layers(layers: Sequence[np.ndarray]) -> tuple:

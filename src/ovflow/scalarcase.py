@@ -1,11 +1,12 @@
 """The two-layer scalar-output case: dichotomy, reduction, acceleration.
 
-State is a vector pair (w1, w2) with product z = w2 . w1 driving a scalar
-cost f(z). Writing s for the sign of f'(0), the combination u = w1 - s w2
-is what separates the two fates of the flow: d = ||u|| is conserved-sign
-(u only ever shrinks or grows by the scalar factor s f'(z)), d = 0 pins
-the trajectory to the anti-balanced line into the origin, and d > 0 keeps
-the flow away from the origin so it must run down f itself.
+State is a two-layer stack with n = 1: a first-layer column w1 and a
+second-layer row w2, both of length k, whose product z = w2 . w1 drives a
+scalar cost f(z). Writing s for the sign of f'(0), the combination
+u = w1 - s w2 is what separates the two fates of the flow: d = ||u|| is
+conserved-sign (u only ever shrinks or grows by the scalar factor s f'(z)),
+d = 0 pins the trajectory to the anti-balanced line into the origin, and
+d > 0 keeps the flow away from the origin so it must run down f itself.
 
 Everything here reduces to one dimension: z obeys
 
@@ -26,18 +27,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ovflow.cost import PdpliReport, ScalarCost, pdpli_check
-from ovflow.flow import Trajectory, detect_convergence, integrate, integrate_batch
+from ovflow.flow import detect_convergence, integrate, integrate_batch
 from ovflow.linnet import LayerStack, NetShape, product
 from ovflow.odeint import IntegratorConfig, OdeResult, solve_flow
 
 __all__ = [
-    "ScalarPairState",
     "anti_balanced",
     "d_metric",
     "conserved_D",
-    "to_stack",
-    "state_from_stack",
-    "full_flow",
     "ReducedTrajectory",
     "reduced_flow",
     "match_reduction",
@@ -53,73 +50,41 @@ __all__ = [
 _SCAN_INTERVAL = (-3.0, 3.0)
 
 
-@dataclass(frozen=True)
-class ScalarPairState:
-    """w1 is the first-layer column, w2 the second-layer row, both length k."""
-
-    w1: np.ndarray
-    w2: np.ndarray
-
-    def __post_init__(self):
-        w1 = np.array(self.w1, dtype=float).ravel()
-        w2 = np.array(self.w2, dtype=float).ravel()
-        if w1.shape != w2.shape or w1.size == 0:
-            raise ValueError(f"w1 and w2 must share a positive length, got {w1.shape} and {w2.shape}")
-        w1.flags.writeable = False
-        w2.flags.writeable = False
-        object.__setattr__(self, "w1", w1)
-        object.__setattr__(self, "w2", w2)
-
-    @property
-    def z(self) -> float:
-        return float(self.w2 @ self.w1)
-
-    @property
-    def S(self) -> float:
-        return float(self.w1 @ self.w1 + self.w2 @ self.w2)
+def _stack(w1: np.ndarray, w2: np.ndarray) -> LayerStack:
+    """The two-layer n = 1 stack with first-layer column w1 and second-layer
+    row w2, both 1-D of length k."""
+    k = w1.size
+    return LayerStack(NetShape(n=1, k=k, depth=2), (w1.reshape(k, 1), w2.reshape(1, k)))
 
 
-def anti_balanced(w2: np.ndarray, cost: ScalarCost) -> ScalarPairState:
-    """The state on the measure-zero line: w1 = s w2 with s = sign f'(0)."""
-    s = cost.sign_at_zero()
-    w2 = np.asarray(w2, dtype=float).ravel()
-    return ScalarPairState(w1=s * w2, w2=w2)
-
-
-def d_metric(state: ScalarPairState, cost: ScalarCost) -> float:
-    """Distance to the anti-balanced line, d = ||w1 - s w2||."""
-    s = cost.sign_at_zero()
-    return float(np.linalg.norm(state.w1 - s * state.w2))
-
-
-def conserved_D(state: ScalarPairState) -> float:
-    """D = S^2 - 4 z^2; conserved, nonnegative, and equal to the scalar
-    imbalance c of the corresponding stack."""
-    return state.S ** 2 - 4.0 * state.z ** 2
-
-
-def to_stack(state: ScalarPairState) -> LayerStack:
-    k = state.w1.size
-    return LayerStack(
-        NetShape(n=1, k=k, depth=2),
-        (state.w1.reshape(k, 1), state.w2.reshape(1, k)),
-    )
-
-
-def state_from_stack(stack: LayerStack) -> ScalarPairState:
+def _pair(stack: LayerStack) -> tuple[np.ndarray, np.ndarray]:
+    """w1 and w2 of a two-layer scalar-output stack, raveled."""
     if stack.shape.depth != 2 or stack.shape.n != 1:
         raise ValueError("expected a two-layer scalar-output stack")
-    return ScalarPairState(w1=stack.layers[0].ravel(), w2=stack.layers[1].ravel())
+    return stack.layers[0].ravel(), stack.layers[1].ravel()
 
 
-def full_flow(
-    state0: ScalarPairState,
-    cost: ScalarCost,
-    cfg: IntegratorConfig,
-    checkpoints: Optional[Sequence[float]] = None,
-) -> Trajectory:
-    """The coupled (w1, w2) flow, run through the generic stack machinery."""
-    return integrate(to_stack(state0), cost.as_matrix(), cfg, checkpoints=checkpoints)
+def anti_balanced(w2: np.ndarray, cost: ScalarCost) -> LayerStack:
+    """The stack on the measure-zero line: w1 = s w2 with s = sign f'(0)."""
+    s = cost.sign_at_zero()
+    w2 = np.asarray(w2, dtype=float).ravel()
+    return _stack(s * w2, w2)
+
+
+def d_metric(stack: LayerStack, cost: ScalarCost) -> float:
+    """Distance to the anti-balanced line, d = ||w1 - s w2||."""
+    w1, w2 = _pair(stack)
+    s = cost.sign_at_zero()
+    return float(np.linalg.norm(w1 - s * w2))
+
+
+def conserved_D(stack: LayerStack) -> float:
+    """D = S^2 - 4 z^2; conserved, nonnegative, and equal to the scalar
+    imbalance c of the stack."""
+    w1, w2 = _pair(stack)
+    S = float(w1 @ w1 + w2 @ w2)
+    z = float(w2 @ w1)
+    return S ** 2 - 4.0 * z ** 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,16 +132,18 @@ def _checkpoint_grid(t_max: float, spacing: float) -> np.ndarray:
     return np.linspace(0.0, t_max, points)
 
 
-def match_reduction(cost: ScalarCost, state0: ScalarPairState, cfg: IntegratorConfig) -> float:
+def match_reduction(cost: ScalarCost, stack0: LayerStack, cfg: IntegratorConfig) -> float:
     """Max |z_full(t) - z_reduced(t)| over a shared time grid.
 
-    The full pair flow and the reduced flow with c = D(state0) are both
-    sampled at the same checkpoint times, each by its own solver's
-    continuous extension, so the comparison needs no interpolation here.
+    The full flow of the two-layer n = 1 stack and the reduced flow with
+    c = D(stack0) are both sampled at the same checkpoint times, each by its
+    own solver's continuous extension, so the comparison needs no
+    interpolation here.
     """
+    w1, w2 = _pair(stack0)
     grid = _checkpoint_grid(cfg.t_max, 0.01)
-    full = full_flow(state0, cost, cfg, checkpoints=grid)
-    reduced = reduced_flow(cost, conserved_D(state0), state0.z, cfg, checkpoints=grid)
+    full = integrate(stack0, cost.as_matrix(), cfg, checkpoints=grid)
+    reduced = reduced_flow(cost, conserved_D(stack0), float(w2 @ w1), cfg, checkpoints=grid)
 
     shared, i_full, i_red = np.intersect1d(full.t, reduced.t, return_indices=True)
     if not shared.size:
@@ -320,14 +287,14 @@ def dichotomy_experiment(
         raise ValueError("f(0) must sit strictly above the infimum for the dichotomy to bite")
 
     matrix_cost = cost.as_matrix()
-    trajs = integrate_batch([to_stack(state0) for _, state0 in runs], matrix_cost, cfg)
+    trajs = integrate_batch([stack0 for _, stack0 in runs], matrix_cost, cfg)
     results = []
-    for (kind, state0), traj in zip(runs, trajs):
+    for (kind, stack0), traj in zip(runs, trajs):
         results.append(
             DichotomyRun(
                 kind=kind,
-                d0=d_metric(state0, cost),
-                D0=conserved_D(state0),
+                d0=d_metric(stack0, cost),
+                D0=conserved_D(stack0),
                 final_cost=float(traj.cost[-1]),
                 final_state_norm=float(np.linalg.norm(traj.y[-1])),  # the flat state is w1 then w2
                 label=detect_convergence(traj, matrix_cost).label,
@@ -354,7 +321,7 @@ def dichotomy_experiment(
 
 def _dichotomy_starts(
     cost: ScalarCost, k: int, n_generic: int, n_anti: int, seed: int
-) -> list[tuple[str, ScalarPairState]]:
+) -> list[tuple[str, LayerStack]]:
     """The battery's (kind, start) pairs: generic starts at d >= 0.05, then
     anti-balanced starts with ||w2|| >= 0.05, all drawn from one seeded RNG."""
     s = cost.sign_at_zero()
@@ -367,7 +334,7 @@ def _dichotomy_starts(
         while np.linalg.norm(w1 - s * w2) < 0.05:
             w1 = rng.normal(0.0, 0.5, size=k)
             w2 = rng.normal(0.0, 0.5, size=k)
-        runs.append(("generic", ScalarPairState(w1=w1, w2=w2)))
+        runs.append(("generic", _stack(w1, w2)))
 
     for _ in range(n_anti):
         w2 = rng.normal(0.0, 0.5, size=k)

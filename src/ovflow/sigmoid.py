@@ -23,6 +23,7 @@ arrays, so a recorded run or a portrait grid is one call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -126,7 +127,9 @@ def separatrix_trace(
     "backward" runs time-reversed along the stable manifold, which is the
     branch the closed-form curve describes. Integration starts eps off the
     origin along the matching eigenvector and stops at cfg.t_max or once
-    the state leaves the given radius.
+    the state leaves the given radius. The run is sampled every 0.01 time
+    units; a t_max that needs more than 1,000,001 such checkpoints is
+    refused before they are made.
     """
     if sign not in ("plus", "minus"):
         raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
@@ -134,6 +137,9 @@ def separatrix_trace(
         raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
     if not 0 < eps <= 1e-2:
         raise ValueError("eps must be a small positive offset")
+    points = math.ceil((cfg.t_max - 0.01) / 0.01)  # the length of the arange below
+    if points > 1_000_001:
+        raise ValueError(f"t_max {cfg.t_max:g} needs {points:,} checkpoints 0.01 apart; at most 1,000,001 are allowed")
 
     stable, unstable = origin_eigenvectors()
     vec = unstable if direction == "forward" else stable

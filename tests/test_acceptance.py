@@ -25,20 +25,21 @@ from ovflow.linnet import (
 from ovflow.odeint import IntegratorConfig
 from ovflow.saddle import certify_strict_saddle
 from ovflow.scalarcase import (
-    ScalarPairState,
     anti_balanced,
     compare_acceleration,
     conserved_D,
     d_metric,
-    full_flow,
     match_reduction,
     reduced_flow,
-    state_from_stack,
-    to_stack,
 )
 from ovflow.sigmoid import manifold_curve, separatrix_trace, sig_integrate, sig_invariant
 
 WELL = parse_scalar_cost("(1 - w)^2", min_value=0.0)
+
+
+def pair_stack(w1, w2) -> LayerStack:
+    """The two-layer n = 1 stack with first-layer column w1 and second-layer row w2."""
+    return LayerStack.from_layers([np.reshape(w1, (-1, 1)), np.reshape(w2, (1, -1))])
 
 
 def report(num, ok, detail):
@@ -96,23 +97,23 @@ def scalar_battery():
     anti_final_costs = []
     anti_final_norms = []
 
-    def track(state0):
+    def track(stack0):
         nonlocal max_D_drift, max_D_vs_c
-        D0 = conserved_D(state0)
-        max_D_vs_c = max(max_D_vs_c, abs(D0 - imbalance_scalar(invariants(to_stack(state0)))))
-        traj = full_flow(state0, WELL, cfg)
+        D0 = conserved_D(stack0)
+        max_D_vs_c = max(max_D_vs_c, abs(D0 - imbalance_scalar(invariants(stack0))))
+        traj = integrate(stack0, WELL.as_matrix(), cfg)
         for sample in traj.samples:
-            max_D_drift = max(max_D_drift, abs(conserved_D(state_from_stack(sample.stack)) - D0))
+            max_D_drift = max(max_D_drift, abs(conserved_D(sample.stack) - D0))
         return traj
 
     for _ in range(20):
-        state0 = ScalarPairState(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2))
-        assert d_metric(state0, WELL) > 0
-        traj = track(state0)
+        stack0 = pair_stack(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2))
+        assert d_metric(stack0, WELL) > 0
+        traj = track(stack0)
         generic_final_costs.append(traj.samples[-1].cost)
     for _ in range(5):
-        state0 = anti_balanced(rng.uniform(-1, 1, 2), WELL)
-        traj = track(state0)
+        stack0 = anti_balanced(rng.uniform(-1, 1, 2), WELL)
+        traj = track(stack0)
         final = traj.samples[-1]
         anti_final_costs.append(final.cost)
         anti_final_norms.append(
@@ -207,8 +208,8 @@ def test_criterion_07_conserved_D(scalar_battery):
 
 def test_criterion_08_reduced_flow_equivalence():
     cfg = IntegratorConfig(rtol=1e-12, atol=1e-14, t_max=5.0, grad_tol=1e-10)
-    gap_balanced = match_reduction(WELL, ScalarPairState([0.6, 0.0], [0.8, 0.0]), cfg)
-    gap_unbalanced = match_reduction(WELL, ScalarPairState([1.2, 0.0], [0.3, 0.4]), cfg)
+    gap_balanced = match_reduction(WELL, pair_stack([0.6, 0.0], [0.8, 0.0]), cfg)
+    gap_unbalanced = match_reduction(WELL, pair_stack([1.2, 0.0], [0.3, 0.4]), cfg)
     reduced = reduced_flow(WELL, 0.0, 0.5, cfg, checkpoints=[0.1, 0.25, 0.5])
     logistic_gap = 0.0
     for t_query in (0.1, 0.25, 0.5):

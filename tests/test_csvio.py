@@ -67,7 +67,8 @@ def test_every_writer_uses_one_format(tmp_path):
     paths = list(out.values()) + [str(tmp_path / "cert_direction.csv")]
     assert len(paths) == 10
     for path in paths:
-        data = open(path, "rb").read()
+        with open(path, "rb") as handle:
+            data = handle.read()
         assert b"\r" not in data and data.endswith(b"\n"), path
         rows = _rows(path)
         assert len(rows) >= 2 and all(len(row) == len(rows[0]) for row in rows), path

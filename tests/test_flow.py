@@ -34,7 +34,7 @@ from ovflow.linnet import (
 )
 from ovflow import odeint
 from ovflow.odeint import IntegratorConfig, solve_flow, solve_flow_batch
-from ovflow.scalarcase import anti_balanced, reduced_flow, to_stack
+from ovflow.scalarcase import anti_balanced, reduced_flow
 from ovflow.sigmoid import _sig_rhs, _sig_rhs_backward, origin_eigenvectors, separatrix_trace, sig_integrate
 
 COST = QuadraticMatrixCost(np.array([[2.0, 0.3], [-0.1, 1.0]]))
@@ -115,7 +115,7 @@ def test_detect_convergence_labels():
 
     # anti-balanced scalar start flows into the spurious critical point at zero
     scalar = parse_scalar_cost("(1 - w)^2")
-    stack0 = to_stack(anti_balanced(np.array([0.4, -0.3]), scalar))
+    stack0 = anti_balanced(np.array([0.4, -0.3]), scalar)
     spur = integrate(stack0, scalar.as_matrix(), cfg)
     label = detect_convergence(spur, scalar.as_matrix())
     assert label.label == "spurious_critical_of_g"

@@ -15,7 +15,12 @@ from ovflow.invariant import (
 from ovflow.linnet import LayerStack, NetShape, balanced_init, random_init, rescale_pair
 from ovflow.odeint import IntegratorConfig
 from ovflow.flow import integrate
-from ovflow.scalarcase import ScalarPairState, conserved_D, to_stack
+from ovflow.scalarcase import conserved_D
+
+
+def pair_stack(w1, w2) -> LayerStack:
+    """The two-layer n = 1 stack with first-layer column w1 and second-layer row w2."""
+    return LayerStack.from_layers([np.reshape(w1, (-1, 1)), np.reshape(w2, (1, -1))])
 
 
 def test_balanced_stack_has_zero_invariants():
@@ -52,9 +57,9 @@ def test_imbalance_scalar_only_for_two_layers():
 def test_imbalance_matches_scalar_case_quantity():
     w1 = np.array([3.0, 0.0])
     w2 = np.array([1.0, 0.0])
-    state = ScalarPairState(w1, w2)
-    inv = invariants(to_stack(state))
-    assert imbalance_scalar(inv) == pytest.approx(conserved_D(state))
+    stack = pair_stack(w1, w2)
+    inv = invariants(stack)
+    assert imbalance_scalar(inv) == pytest.approx(conserved_D(stack))
     assert imbalance_scalar(inv) == pytest.approx(64.0)  # (9+1)^2 - 4*9
 
 
@@ -66,9 +71,8 @@ def test_imbalance_equals_product_of_diagonal_norms(vals):
     # c = S^2 - 4 z^2 factors as |w1 - w2|^2 |w1 + w2|^2
     w1 = np.array(vals[:2])
     w2 = np.array(vals[2:])
-    state = ScalarPairState(w1, w2)
     want = np.sum((w1 - w2) ** 2) * np.sum((w1 + w2) ** 2)
-    assert conserved_D(state) == pytest.approx(want, abs=1e-9)
+    assert conserved_D(pair_stack(w1, w2)) == pytest.approx(want, abs=1e-9)
 
 
 def test_drift_stays_small_along_a_flow():

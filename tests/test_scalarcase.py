@@ -8,68 +8,82 @@ import pytest
 
 from ovflow.cost import parse_scalar_cost
 from ovflow.flow import detect_convergence, integrate
-from ovflow.linnet import flow_field, pack
+from ovflow.linnet import DegenerateWidthWarning, LayerStack, NetShape, flow_field, pack, product, random_init
 from ovflow.odeint import IntegratorConfig, solve_flow, solve_flow_batch
 from ovflow.scalarcase import (
     ReducedTrajectory,
-    ScalarPairState,
     anti_balanced,
     compare_acceleration,
     conserved_D,
     d_metric,
     dichotomy_experiment,
-    full_flow,
     match_reduction,
     reduced_flow,
     reparameterize_time,
-    state_from_stack,
-    to_stack,
     _dichotomy_starts,
+    _pair,
 )
 
 WELL = parse_scalar_cost("(1 - w)^2", min_value=0.0)
 
 
+def pair_stack(w1, w2) -> LayerStack:
+    """The two-layer n = 1 stack with first-layer column w1 and second-layer row w2."""
+    return LayerStack.from_layers([np.reshape(w1, (-1, 1)), np.reshape(w2, (1, -1))])
+
+
 def test_state_accessors():
-    state = ScalarPairState(np.array([3.0, 0.0]), np.array([1.0, 0.0]))
-    assert state.z == pytest.approx(3.0)
-    assert state.S == pytest.approx(10.0)
-    assert conserved_D(state) == pytest.approx(64.0)  # 100 - 36
+    stack = pair_stack([3.0, 0.0], [1.0, 0.0])
+    assert product(stack.layers)[0, 0] == pytest.approx(3.0)  # z
+    assert sum(float(np.sum(layer**2)) for layer in stack.layers) == pytest.approx(10.0)  # S
+    assert conserved_D(stack) == pytest.approx(64.0)  # 100 - 36
 
 
 def test_state_validation():
     with pytest.raises(ValueError):
-        ScalarPairState(np.array([1.0, 2.0]), np.array([1.0]))
+        pair_stack([1.0, 2.0], [1.0])
 
 
 def test_stack_round_trip():
-    state = ScalarPairState(np.array([0.3, -0.2]), np.array([0.1, 0.5]))
-    back = state_from_stack(to_stack(state))
-    np.testing.assert_allclose(back.w1, state.w1)
-    np.testing.assert_allclose(back.w2, state.w2)
+    w1, w2 = _pair(pair_stack([0.3, -0.2], [0.1, 0.5]))
+    np.testing.assert_allclose(w1, [0.3, -0.2])
+    np.testing.assert_allclose(w2, [0.1, 0.5])
+
+
+@pytest.mark.parametrize("shape", [NetShape(1, 2, 3), NetShape(2, 3, 2)], ids=["depth3", "n2"])
+def test_pair_functions_refuse_other_stacks(shape):
+    stack = random_init(shape, seed=0, scale=0.5)
+    message = "expected a two-layer scalar-output stack"
+    with pytest.raises(ValueError, match=message):
+        d_metric(stack, WELL)
+    with pytest.raises(ValueError, match=message):
+        conserved_D(stack)
+    with pytest.raises(ValueError, match=message):
+        match_reduction(WELL, stack, IntegratorConfig(t_max=1.0))
 
 
 def test_anti_balanced_line():
     # f'(0) = -2 puts the line at w1 = -w2
-    state = anti_balanced(np.array([0.4, -0.3]), WELL)
-    np.testing.assert_allclose(state.w1, [-0.4, 0.3])
-    assert d_metric(state, WELL) == 0.0
-    assert state.z < 0.0
-    assert conserved_D(state) == pytest.approx(0.0, abs=1e-12)
+    stack = anti_balanced(np.array([0.4, -0.3]), WELL)
+    np.testing.assert_allclose(stack.layers[0].ravel(), [-0.4, 0.3])
+    assert d_metric(stack, WELL) == 0.0
+    assert product(stack.layers)[0, 0] < 0.0
+    assert conserved_D(stack) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_d_metric_away_from_the_line():
-    state = ScalarPairState(np.array([1.0]), np.array([1.0]))
-    assert d_metric(state, WELL) == pytest.approx(2.0)
+    with pytest.warns(DegenerateWidthWarning):
+        stack = pair_stack([1.0], [1.0])
+    assert d_metric(stack, WELL) == pytest.approx(2.0)
 
 
 def test_full_flow_conserves_D():
-    state0 = ScalarPairState(np.array([0.6, 0.1]), np.array([0.8, -0.2]))
+    stack0 = pair_stack([0.6, 0.1], [0.8, -0.2])
     cfg = IntegratorConfig(rtol=1e-10, atol=1e-12, t_max=20.0)
-    traj = full_flow(state0, WELL, cfg)
-    D0 = conserved_D(state0)
+    traj = integrate(stack0, WELL.as_matrix(), cfg)
+    D0 = conserved_D(stack0)
     for s in traj.samples:
-        assert abs(conserved_D(state_from_stack(s.stack)) - D0) < 1e-9
+        assert abs(conserved_D(s.stack) - D0) < 1e-9
 
 
 def test_reduced_flow_logistic_oracle():
@@ -93,25 +107,25 @@ def test_reduced_flow_rejects_negative_imbalance():
 
 
 def test_full_flow_matches_reduction():
-    state0 = ScalarPairState(np.array([0.6, 0.0]), np.array([0.8, 0.0]))
+    stack0 = pair_stack([0.6, 0.0], [0.8, 0.0])
     cfg = IntegratorConfig(rtol=1e-10, atol=1e-12, t_max=10.0)
-    assert match_reduction(WELL, state0, cfg) < 1e-8
+    assert match_reduction(WELL, stack0, cfg) < 1e-8
     with pytest.raises(ValueError, match="at most 1,000,001"):  # refused before the grid is made
-        match_reduction(WELL, state0, IntegratorConfig(t_max=1e9))
+        match_reduction(WELL, stack0, IntegratorConfig(t_max=1e9))
 
 
 def test_width_one_stack_carries_the_degenerate_warning():
-    from ovflow.linnet import DegenerateWidthWarning
-
     with pytest.warns(DegenerateWidthWarning):
-        to_stack(ScalarPairState(np.array([0.6]), np.array([0.8])))
+        anti_balanced(np.array([0.8]), WELL)
+    with pytest.warns(DegenerateWidthWarning):
+        _dichotomy_starts(WELL, 1, 1, 0, seed=0)
 
 
 def test_match_reduction_with_imbalance():
     # an unbalanced start exercises the c > 0 branch of the reduction
-    state0 = ScalarPairState(np.array([1.2, 0.0]), np.array([0.3, 0.4]))
+    stack0 = pair_stack([1.2, 0.0], [0.3, 0.4])
     cfg = IntegratorConfig(rtol=1e-10, atol=1e-12, t_max=10.0)
-    assert match_reduction(WELL, state0, cfg) < 1e-8
+    assert match_reduction(WELL, stack0, cfg) < 1e-8
 
 
 def _frozen_at_one(t):
@@ -205,16 +219,16 @@ def test_batched_dichotomy_matches_serial_runs(text):
     report = dichotomy_experiment(cost, 2, cfg, n_generic=6, n_anti=3, seed=4)
     starts = _dichotomy_starts(cost, 2, 6, 3, seed=4)
     assert [run.kind for run in report.runs] == [kind for kind, _ in starts]
-    for run, (_, state0) in zip(report.runs, starts):
-        assert run.d0 == d_metric(state0, cost) and run.D0 == conserved_D(state0)
-        traj = full_flow(state0, cost, cfg)
-        final = state_from_stack(traj.final.stack)
+    for run, (_, stack0) in zip(report.runs, starts):
+        assert run.d0 == d_metric(stack0, cost) and run.D0 == conserved_D(stack0)
+        traj = integrate(stack0, cost.as_matrix(), cfg)
+        final = traj.final.stack
         assert run.label == detect_convergence(traj, cost.as_matrix()).label
         assert abs(run.final_cost - traj.final.cost) <= 1e-12
-        assert abs(run.final_state_norm - np.linalg.norm(np.concatenate([final.w1, final.w2]))) <= 1e-12
+        assert abs(run.final_state_norm - np.linalg.norm(np.concatenate([layer.ravel() for layer in final.layers]))) <= 1e-12
 
     # the batch rows make their serial solves' step decisions
-    stacks = [to_stack(state0) for _, state0 in starts]
+    stacks = [stack0 for _, stack0 in starts]
     field = flow_field(stacks[0].shape, cost.as_matrix())
     Y0 = np.stack([pack(stack.layers) for stack in stacks])
     for y0, row in zip(Y0, solve_flow_batch(field, Y0, cfg)):

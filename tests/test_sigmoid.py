@@ -130,6 +130,12 @@ def test_separatrix_argument_validation():
         separatrix_trace("plus", "backward", cfg, eps=0.5)
 
 
+def test_separatrix_refuses_an_oversized_checkpoint_grid():
+    # the grid at t_max = 1e9 would take 745 GiB; it is refused before it is made
+    with pytest.raises(ValueError, match="checkpoints 0.01 apart; at most 1,000,001 are allowed"):
+        separatrix_trace("plus", "backward", IntegratorConfig(t_max=1e9))
+
+
 def test_linear_field_frozen_value():
     dw1, dw2 = linear_field(1.0, 2.0)
     assert dw1 == pytest.approx(-4.0)  # 2 (1 - w2 w1) w2
