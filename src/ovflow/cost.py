@@ -19,6 +19,10 @@ Scalar expressions follow the grammar
 
 Division is accepted but makes properness and lower-boundedness the caller's
 responsibility; costs built with '/' carry ``uses_division = True``.
+
+Each expression compiles once, at parse time, to one closure taking a float
+or a float array (``compile_expr``): a cost's ``value``, ``deriv`` and
+``second`` are those closures, checked against a tree walk in the tests.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ class Expr:
 
 @dataclass(frozen=True)
 class Num(Expr):
-    value: float
+    value: Union[float, int]  # an int only where a power's derivative brings its exponent down
 
 
 @dataclass(frozen=True)
@@ -101,38 +105,6 @@ class Pow(Expr):
     exponent: int
 
 
-def evaluate(expr: Expr, w: float) -> float:
-    """Evaluate an expression tree at w. Overflow and division by zero are
-    reported as non-finite values rather than raised: a power that overflows
-    or divides by zero gives the infinity of its true sign. This tree walk is
-    the reference that ``compile_expr`` closures are tested against."""
-    if isinstance(expr, Num):
-        return expr.value
-    if isinstance(expr, Var):
-        return w
-    if isinstance(expr, Neg):
-        return -evaluate(expr.arg, w)
-    if isinstance(expr, Add):
-        return evaluate(expr.left, w) + evaluate(expr.right, w)
-    if isinstance(expr, Sub):
-        return evaluate(expr.left, w) - evaluate(expr.right, w)
-    if isinstance(expr, Mul):
-        return evaluate(expr.left, w) * evaluate(expr.right, w)
-    if isinstance(expr, Div):
-        num = evaluate(expr.left, w)
-        den = evaluate(expr.right, w)
-        if den == 0.0:
-            return math.nan if num == 0.0 else math.copysign(math.inf, num)
-        return num / den
-    if isinstance(expr, Pow):
-        base = evaluate(expr.base, w)
-        try:
-            return base ** expr.exponent
-        except (OverflowError, ZeroDivisionError):
-            return math.copysign(math.inf, base) if expr.exponent % 2 else math.inf
-    raise TypeError(f"unknown node {expr!r}")
-
-
 def _div(num, den):
     if isinstance(num, np.ndarray) or isinstance(den, np.ndarray):
         quotient = np.divide(num, den)
@@ -162,9 +134,11 @@ def _pow(base, exponent: int):
 
 
 def compile_expr(expr: Expr) -> Callable:
-    """A closure computing ``evaluate(expr, w)`` with the same float
-    operations in the same order, so its results are bit-identical; it
-    walks the tree once instead of on every call.
+    """A closure computing expr at w, the tree walked once, at compile time.
+    Overflow and division by zero give non-finite values, not errors
+    (``_div``, ``_pow``): x / 0 is the infinity of x's sign, 0 / 0 is NaN,
+    and a power that overflows or divides by zero gives the infinity of its
+    true sign.
 
     w may also be a float array: the closure then returns a new array of
     w's shape whose entries are bit-identical to the closure at each entry,
@@ -184,7 +158,7 @@ def compile_expr(expr: Expr) -> Callable:
 
 def _compile(expr: Expr) -> Callable:
     if isinstance(expr, Num):
-        value = expr.value
+        value = float(expr.value)
         return lambda w: value
     if isinstance(expr, Var):
         return lambda w: w
@@ -234,16 +208,18 @@ def differentiate(expr: Expr) -> Expr:
     if isinstance(expr, Pow):
         if expr.exponent == 0:
             return Num(0.0)
+        # the exponent itself, an int: as a float it would round past 2**53
         return Mul(
-            Mul(Num(float(expr.exponent)), Pow(expr.base, expr.exponent - 1)),
+            Mul(Num(expr.exponent), Pow(expr.base, expr.exponent - 1)),
             differentiate(expr.base),
         )
     raise TypeError(f"unknown node {expr!r}")
 
 
 def _const(expr: Expr) -> Optional[float]:
+    # a fold is float arithmetic, as evaluation is, whatever the Num holds
     if isinstance(expr, Num):
-        return expr.value
+        return float(expr.value)
     return None
 
 
@@ -269,7 +245,7 @@ def simplify(expr: Expr) -> Expr:
         if expr.exponent == 1:
             return b
         if isinstance(b, Num):
-            folded = _pow(b.value, expr.exponent)
+            folded = _pow(float(b.value), expr.exponent)
             if math.isfinite(folded):
                 return Num(folded)
         return Pow(b, expr.exponent)
@@ -519,9 +495,9 @@ class ScalarCost:
 
     ``min_value`` is the self-declared infimum of f when known; it stays None
     otherwise and routines that need it (the gradient-dominance check) fall
-    back to a grid minimum. The three expressions are compiled to closures
-    once, at construction; ``value``, ``deriv`` and ``second`` take a float
-    or a float array (see ``compile_expr``).
+    back to a grid minimum. ``value``, ``deriv`` and ``second`` are the
+    three expressions compiled to closures once, at construction; each
+    takes a float or a float array (see ``compile_expr``).
     """
 
     text: str
@@ -530,27 +506,18 @@ class ScalarCost:
     second_derivative: Expr
     min_value: Optional[float] = None
     uses_division: bool = False
-    _value: Callable = field(init=False, repr=False, compare=False)
-    _deriv: Callable = field(init=False, repr=False, compare=False)
-    _second: Callable = field(init=False, repr=False, compare=False)
+    value: Callable = field(init=False, repr=False, compare=False)
+    deriv: Callable = field(init=False, repr=False, compare=False)
+    second: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_value", compile_expr(self.expression))
-        object.__setattr__(self, "_deriv", compile_expr(self.derivative))
-        object.__setattr__(self, "_second", compile_expr(self.second_derivative))
+        object.__setattr__(self, "value", compile_expr(self.expression))
+        object.__setattr__(self, "deriv", compile_expr(self.derivative))
+        object.__setattr__(self, "second", compile_expr(self.second_derivative))
 
     def __reduce__(self):
         # closures do not pickle; the unpickled cost compiles them afresh
         return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
-
-    def value(self, w):
-        return self._value(w)
-
-    def deriv(self, w):
-        return self._deriv(w)
-
-    def second(self, w):
-        return self._second(w)
 
     def sign_at_zero(self) -> int:
         """Sign of f'(0); raises when f'(0) = 0 because the anti-balanced

@@ -16,8 +16,6 @@ computed once, and the invariants and the CSV read them stacked over samples.
 
 from __future__ import annotations
 
-import csv
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -40,7 +38,6 @@ __all__ = [
     "detect_convergence",
     "sweep",
     "write_trajectory_csv",
-    "read_trajectory_csv",
 ]
 
 
@@ -227,8 +224,9 @@ def write_trajectory_csv(traj: Trajectory, cost: MatrixCost, path: str) -> None:
     # the tail of a diverging run overflows to inf in the norms, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
         w = product(traj.layers)
-        # math.sqrt(g.dot(g)) over a flattened row is np.linalg.norm of that matrix
-        grad_f_norm = [math.sqrt(g.dot(g)) for g in cost.gradient(w).reshape(count, -1)]
+        # each flattened row's dot with itself, as np.linalg.norm takes a matrix's norm
+        g = cost.gradient(w).reshape(count, -1)
+        grad_f_norm = np.sqrt(np.vecdot(g, g))
         imbalance = [imbalance_scalar(invariants(traj))] if scalar else []
     drift = traj.drift_series if depth >= 2 else np.zeros(count)
     columns = [traj.t, traj.cost, traj.field_norm, grad_f_norm, drift, *imbalance]
@@ -237,18 +235,3 @@ def write_trajectory_csv(traj: Trajectory, cost: MatrixCost, path: str) -> None:
     header = ["t", "cost", "grad_g_norm", "grad_f_norm", "drift", "imbalance_c"]
     header += [f"w_{r}_{c}" for r in range(n) for c in range(n)]
     write_csv(path, header, np.column_stack([*columns, w.reshape(count, -1)]), blank=blank)
-
-
-def read_trajectory_csv(path: str) -> dict[str, np.ndarray]:
-    """Columns of a trajectory CSV keyed by header name; the blank
-    imbalance column comes back as NaN."""
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader)
-        rows = [row for row in reader if row]
-    columns: dict[str, np.ndarray] = {}
-    for j, name in enumerate(header):
-        columns[name] = np.array(
-            [float(row[j]) if row[j] != "" else float("nan") for row in rows]
-        )
-    return columns

@@ -21,7 +21,6 @@ and the next factor (W_N ... W_i)^T grad f(W), layer N down to layer 1, in
 from __future__ import annotations
 
 import csv
-import operator
 import warnings
 from dataclasses import dataclass
 from functools import partial
@@ -154,11 +153,6 @@ def product(layers: Sequence[np.ndarray]) -> np.ndarray:
     return np.array(out)
 
 
-# C-level transposes: a matrix's .T, and a stack's last two axes swapped
-_TRANSPOSE = operator.attrgetter("T")
-_SWAP_LAST = operator.methodcaller("swapaxes", -1, -2)
-
-
 def layer_gradients(layers: Sequence[np.ndarray], cost) -> list[np.ndarray]:
     """Per-layer gradients of g = f(product) at the layers W_1, ..., W_N.
 
@@ -172,9 +166,9 @@ def layer_gradients(layers: Sequence[np.ndarray], cost) -> list[np.ndarray]:
     The matrices are tiny, so a product's cost is numpy's dispatch, not its
     flops: 2-D layers take ``ndarray.dot``, which has about half the
     overhead of ``matmul`` and gives the same bits (the tests check that a
-    row of a batch matches its own evaluation), and ``.T``. Stacks need
-    ``matmul``, because ``dot`` on 3-D arrays is not a batched product, and
-    ``swapaxes``.
+    row of a batch matches its own evaluation). Stacks need ``matmul``,
+    because ``dot`` on 3-D arrays is not a batched product. Either way a
+    transpose is ``swapaxes(-1, -2)``, a view made once per bound chain.
     """
     out = [np.empty(layer.shape) for layer in layers]
     _bind_chain(_bind_layers(layers), cost, out)()
@@ -190,15 +184,13 @@ def _bind_layers(layers: Sequence[np.ndarray]) -> tuple:
     depth = len(layers)
     if depth == 1:
         return (layers[0],)
-    if layers[0].ndim == 2:
-        mul, flip = np.ndarray.dot, _TRANSPOSE
-    else:
-        mul, flip = np.matmul, _SWAP_LAST
+    mul = np.ndarray.dot if layers[0].ndim == 2 else np.matmul
     lead, n = layers[0].shape[:-2], layers[0].shape[-1]
     prefix = [layers[0], *(np.empty(lead + (layer.shape[-2], n)) for layer in layers[1:])]  # W_i ... W_1
     forward = tuple((layers[i], prefix[i - 1], prefix[i]) for i in range(1, depth))
     backs = [np.empty(lead + (layer.shape[-1], n)) for layer in layers[2:]]
-    return mul, forward, prefix[-1], [flip(p) for p in prefix[:-1]], [flip(w) for w in layers], backs
+    prefix_t = [p.swapaxes(-1, -2) for p in prefix[:-1]]
+    return mul, forward, prefix[-1], prefix_t, [w.swapaxes(-1, -2) for w in layers], backs
 
 
 def _bind_chain(bound: tuple, cost, out: Sequence[np.ndarray]) -> Callable[[], None]:

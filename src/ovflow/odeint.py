@@ -388,7 +388,7 @@ def solve_flow(
                     block_field = np.empty_like(block)
                     field(block, block_field)
                     nfev += len(dense_combos) + len(block)
-                    norms = [math.sqrt(r.dot(r)) for r in block_field]
+                    norms = np.sqrt(np.vecdot(block_field, block_field)).tolist()  # math.sqrt(r.dot(r)) per row
                     finite = np.isfinite(block).all(axis=1) & np.isfinite(block_field).all(axis=1)
                     # the samples before the first non-finite one, which ends the run unrecorded
                     ok = len(block) if finite.all() else int(np.argmin(finite))
@@ -440,8 +440,10 @@ def solve_flow_batch(
     where the flow amplifies perturbations, as on the way into a saddle),
     and an error estimate at rounding level (a constant field, whose serial
     error is exactly 0) may get other step-size factors and so another step
-    count. A row leaves the batch when it stops; a row whose field is
-    non-finite at the start stops there with ``non_finite``. Returns one
+    count. A row's field norm sums its squares by ``add.reduce``
+    (``np.linalg.norm``), not by the serial loop's dot, so it too may differ
+    in the last bit. A row leaves the batch when it stops; a row whose field
+    is non-finite at the start stops there with ``non_finite``. Returns one
     OdeResult per row holding only its final sample: there are no
     checkpoints, no recording and no stop predicate.
     """

@@ -1,12 +1,19 @@
-"""Finite-difference oracles the test modules check analytic results against.
+"""Oracles the test modules check the package against.
 
-Everything here is deliberately dumb: central differences on the raw
-definitions, no reuse of package internals beyond evaluating the objective.
+Everything here is deliberately dumb, a plain route to the same numbers:
+central differences on the raw definitions, reusing nothing of the package
+beyond evaluating the objective; the tree walk that evaluates a scalar
+expression node by node, the reference for the compiled closures; the
+trajectory CSV read back row by row with the ``csv`` module; and the
+portrait SVG written one arrow at a time.
 """
 
+import csv
 import math
 
 import numpy as np
+
+from ovflow.cost import Add, Div, Expr, Mul, Neg, Num, Pow, Sub, Var
 
 
 def fd_scalar_derivative(func, w, eps=1e-6):
@@ -65,6 +72,54 @@ def fd_hessian(layers, cost, eps=1e-4):
             second = g(x0 + ea + eb) - g(x0 + ea - eb) - g(x0 - ea + eb) + g(x0 - ea - eb)
             H[a, b] = H[b, a] = second / (4.0 * eps * eps)
     return H
+
+
+def evaluate(expr: Expr, w: float) -> float:
+    """Evaluate an expression tree at w. Overflow and division by zero are
+    reported as non-finite values rather than raised: a power that overflows
+    or divides by zero gives the infinity of its true sign. This tree walk is
+    the reference that the ``cost.compile_expr`` closures, a ScalarCost's
+    ``value``, ``deriv`` and ``second``, are tested against bit for bit."""
+    if isinstance(expr, Num):
+        return float(expr.value)
+    if isinstance(expr, Var):
+        return w
+    if isinstance(expr, Neg):
+        return -evaluate(expr.arg, w)
+    if isinstance(expr, Add):
+        return evaluate(expr.left, w) + evaluate(expr.right, w)
+    if isinstance(expr, Sub):
+        return evaluate(expr.left, w) - evaluate(expr.right, w)
+    if isinstance(expr, Mul):
+        return evaluate(expr.left, w) * evaluate(expr.right, w)
+    if isinstance(expr, Div):
+        num = evaluate(expr.left, w)
+        den = evaluate(expr.right, w)
+        if den == 0.0:
+            return math.nan if num == 0.0 else math.copysign(math.inf, num)
+        return num / den
+    if isinstance(expr, Pow):
+        base = evaluate(expr.base, w)
+        try:
+            return base ** expr.exponent
+        except (OverflowError, ZeroDivisionError):
+            return math.copysign(math.inf, base) if expr.exponent % 2 else math.inf
+    raise TypeError(f"unknown node {expr!r}")
+
+
+def read_trajectory_csv(path: str) -> dict[str, np.ndarray]:
+    """Columns of a trajectory CSV keyed by header name; the blank
+    imbalance column comes back as NaN."""
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader)
+        rows = [row for row in reader if row]
+    columns: dict[str, np.ndarray] = {}
+    for j, name in enumerate(header):
+        columns[name] = np.array(
+            [float(row[j]) if row[j] != "" else float("nan") for row in rows]
+        )
+    return columns
 
 
 def rel_err(got, want):

@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 from ovflow.cli import build_initial_stack, console_main, load_config, main, write_portrait_svg
-from ovflow.flow import integrate, integrate_baseline, read_trajectory_csv
+from ovflow.flow import integrate, integrate_baseline
 from ovflow.linnet import product
 from ovflow.sigmoid import phase_portrait
 
-from _oracles import write_portrait_svg_per_arrow
+from _oracles import read_trajectory_csv, write_portrait_svg_per_arrow
 
 TARGET = [[2.0, 0.3], [-0.1, 1.0]]
 

@@ -21,14 +21,13 @@ from ovflow.cost import (
     QuadraticMatrixCost,
     Sub,
     Var,
-    evaluate,
     parse_scalar_cost,
     pdpli_check,
     simplify,
     to_string,
 )
 
-from _oracles import fd_matrix_gradient, fd_scalar_derivative
+from _oracles import evaluate, fd_matrix_gradient, fd_scalar_derivative
 
 
 # parsing and evaluation
@@ -69,6 +68,22 @@ def test_an_integer_exponent_literal_is_read_exactly(text, exponent):
     expression = parse_scalar_cost(text).expression
     assert expression == Pow(Var(), exponent) and type(expression.exponent) is int
     assert to_string(expression) == f"w^{exponent}"
+
+
+@pytest.mark.parametrize(
+    "text, derivative, second",
+    [
+        ("w^9007199254740993", "9007199254740993 * w^9007199254740992", "8.112963841460668e+31 * w^9007199254740991"),
+        ("w^-9007199254740993", "-9007199254740993 * w^-9007199254740994", "8.11296384146067e+31 * w^-9007199254740995"),
+        ("w^99999999999999999999", "99999999999999999999 * w^99999999999999999998", "1e+40 * w^99999999999999999997"),
+        ("w^100000001", "100000001 * w^100000000", "1.00000001e+16 * w^99999999"),
+    ],
+)
+def test_a_power_brings_its_exponent_down_exactly(text, derivative, second):
+    # the coefficient is the exponent's int; products of coefficients fold as floats
+    cost = parse_scalar_cost(text)
+    assert (to_string(cost.derivative), to_string(cost.second_derivative)) == (derivative, second)
+    assert cost.deriv(1.0) == float(cost.expression.exponent)
 
 
 def test_division_flag_and_semantics():

@@ -17,7 +17,6 @@ from ovflow.flow import (
     integrate,
     integrate_baseline,
     integrate_batch,
-    read_trajectory_csv,
     sweep,
     write_trajectory_csv,
 )
@@ -36,6 +35,8 @@ from ovflow import odeint
 from ovflow.odeint import IntegratorConfig, solve_flow, solve_flow_batch
 from ovflow.scalarcase import anti_balanced, reduced_flow
 from ovflow.sigmoid import _sig_rhs, _sig_rhs_backward, origin_eigenvectors, separatrix_trace, sig_integrate
+
+from _oracles import read_trajectory_csv
 
 COST = QuadraticMatrixCost(np.array([[2.0, 0.3], [-0.1, 1.0]]))
 
