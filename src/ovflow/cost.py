@@ -18,7 +18,11 @@ Scalar expressions follow the grammar
     base   := number | 'w' | '(' expr ')' | '-' base
 
 Division is accepted but makes properness and lower-boundedness the caller's
-responsibility; costs built with '/' carry ``uses_division = True``.
+responsibility; costs built with '/' carry ``uses_division = True``. One
+``Bin`` node carries every binary operator, and one table, ``_PREC``, gives
+the binding levels that the parser reads and ``to_string`` parenthesizes by.
+An expression past 128 tokens is refused, so no tree is deep enough for a
+tree job to reach Python's recursion limit.
 
 Each expression compiles once, at parse time, to one closure taking a float
 or a float array (``compile_expr``): a cost's ``value``, ``deriv`` and
@@ -76,25 +80,8 @@ class Neg(Expr):
 
 
 @dataclass(frozen=True)
-class Add(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Sub(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Mul(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Div(Expr):
+class Bin(Expr):
+    op: str  # '+', '-', '*' or '/'
     left: Expr
     right: Expr
 
@@ -156,6 +143,15 @@ def compile_expr(expr: Expr) -> Callable:
     return compiled
 
 
+# each binary operator's closure, made from the closures of its operands
+_BINARY = {
+    "+": lambda left, right: lambda w: left(w) + right(w),
+    "-": lambda left, right: lambda w: left(w) - right(w),
+    "*": lambda left, right: lambda w: left(w) * right(w),
+    "/": lambda left, right: lambda w: _div(left(w), right(w)),
+}
+
+
 def _compile(expr: Expr) -> Callable:
     if isinstance(expr, Num):
         value = float(expr.value)
@@ -168,15 +164,8 @@ def _compile(expr: Expr) -> Callable:
     if isinstance(expr, Pow):
         base, exponent = _compile(expr.base), expr.exponent
         return lambda w: _pow(base(w), exponent)
-    left, right = _compile(expr.left), _compile(expr.right)
-    if isinstance(expr, Add):
-        return lambda w: left(w) + right(w)
-    if isinstance(expr, Sub):
-        return lambda w: left(w) - right(w)
-    if isinstance(expr, Mul):
-        return lambda w: left(w) * right(w)
-    if isinstance(expr, Div):
-        return lambda w: _div(left(w), right(w))
+    if isinstance(expr, Bin):
+        return _BINARY[expr.op](_compile(expr.left), _compile(expr.right))
     raise TypeError(f"unknown node {expr!r}")
 
 
@@ -188,31 +177,20 @@ def differentiate(expr: Expr) -> Expr:
         return Num(1.0)
     if isinstance(expr, Neg):
         return Neg(differentiate(expr.arg))
-    if isinstance(expr, Add):
-        return Add(differentiate(expr.left), differentiate(expr.right))
-    if isinstance(expr, Sub):
-        return Sub(differentiate(expr.left), differentiate(expr.right))
-    if isinstance(expr, Mul):
-        return Add(
-            Mul(differentiate(expr.left), expr.right),
-            Mul(expr.left, differentiate(expr.right)),
-        )
-    if isinstance(expr, Div):
-        return Div(
-            Sub(
-                Mul(differentiate(expr.left), expr.right),
-                Mul(expr.left, differentiate(expr.right)),
-            ),
-            Pow(expr.right, 2),
-        )
+    if isinstance(expr, Bin):
+        op, u, v = expr.op, expr.left, expr.right
+        du, dv = differentiate(u), differentiate(v)
+        if op in "+-":
+            return Bin(op, du, dv)
+        # u'v + uv' for a product, (u'v - uv') / v^2 for a quotient
+        numerator = Bin("+" if op == "*" else "-", Bin("*", du, v), Bin("*", u, dv))
+        return numerator if op == "*" else Bin("/", numerator, Pow(v, 2))
     if isinstance(expr, Pow):
         if expr.exponent == 0:
             return Num(0.0)
         # the exponent itself, an int: as a float it would round past 2**53
-        return Mul(
-            Mul(Num(expr.exponent), Pow(expr.base, expr.exponent - 1)),
-            differentiate(expr.base),
-        )
+        power_rule = Bin("*", Num(expr.exponent), Pow(expr.base, expr.exponent - 1))
+        return Bin("*", power_rule, differentiate(expr.base))
     raise TypeError(f"unknown node {expr!r}")
 
 
@@ -250,27 +228,26 @@ def simplify(expr: Expr) -> Expr:
                 return Num(folded)
         return Pow(b, expr.exponent)
 
+    op = expr.op
     lhs = simplify(expr.left)
     rhs = simplify(expr.right)
     lc, rc = _const(lhs), _const(rhs)
 
-    if isinstance(expr, Add):
+    if op == "+":
         if lc == 0.0:
             return rhs
         if rc == 0.0:
             return lhs
         if lc is not None and rc is not None:
             return Num(lc + rc)
-        return Add(lhs, rhs)
-    if isinstance(expr, Sub):
+    elif op == "-":
         if rc == 0.0:
             return lhs
         if lc == 0.0:
             return simplify(Neg(rhs))
         if lc is not None and rc is not None:
             return Num(lc - rc)
-        return Sub(lhs, rhs)
-    if isinstance(expr, Mul):
+    elif op == "*":
         if lc == 0.0 or rc == 0.0:
             return Num(0.0)
         if lc == 1.0:
@@ -283,68 +260,64 @@ def simplify(expr: Expr) -> Expr:
         if rc is not None:
             lhs, rhs = rhs, lhs
             lc, rc = rc, None
-        if lc is not None and isinstance(rhs, Mul):
+        if lc is not None and isinstance(rhs, Bin) and rhs.op == "*":
             inner = _const(rhs.left)
             if inner is not None:
-                return simplify(Mul(Num(lc * inner), rhs.right))
+                return simplify(Bin("*", Num(lc * inner), rhs.right))
         if lc == -1.0:
             return simplify(Neg(rhs))
-        return Mul(lhs, rhs)
-    if isinstance(expr, Div):
+    else:  # '/'
         if lc == 0.0:
             return Num(0.0)
         if rc == 1.0:
             return lhs
         if lc is not None and rc is not None and rc != 0.0:
             return Num(lc / rc)
-        return Div(lhs, rhs)
-    raise TypeError(f"unknown node {expr!r}")
+    return Bin(op, lhs, rhs)
 
 
-_PREC = {Add: 1, Sub: 1, Mul: 2, Div: 2, Neg: 3, Pow: 4, Num: 5, Var: 5}
+# how tightly each node binds, a binary node by its operator: the parser
+# reads the binary levels from here, to_string its parentheses
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, Neg: 3, Pow: 4, Num: 5, Var: 5}
 
 
-def _fmt_number(x: float) -> str:
-    if math.isfinite(x) and x == int(x) and abs(x) < 1e16:
-        return str(int(x))
-    return repr(x)
+def _prec(expr: Expr) -> int:
+    return _PREC[expr.op if isinstance(expr, Bin) else type(expr)]
+
+
+def _wrap(text: str, child: Expr, prec: int) -> str:
+    # child's text, parenthesized when child binds more loosely than prec
+    return f"({text})" if _prec(child) < prec else text
 
 
 def to_string(expr: Expr) -> str:
-    """Render an expression with minimal parentheses."""
-    prec = _PREC[type(expr)]
-
-    def wrap(child: Expr, need_higher: bool = False) -> str:
-        cprec = _PREC[type(child)]
-        text = to_string(child)
-        if cprec < prec or (need_higher and cprec == prec):
-            return f"({text})"
-        return text
-
+    """Render an expression with minimal parentheses; one call per level of
+    the tree, so that its depth bounds the recursion."""
     if isinstance(expr, Num):
-        return _fmt_number(expr.value)
+        x = expr.value
+        return str(int(x)) if math.isfinite(x) and x == int(x) and abs(x) < 1e16 else repr(x)
     if isinstance(expr, Var):
         return "w"
+    prec = _prec(expr)
     if isinstance(expr, Neg):
-        return f"-{wrap(expr.arg)}"
-    if isinstance(expr, Add):
-        return f"{wrap(expr.left)} + {wrap(expr.right)}"
-    if isinstance(expr, Sub):
-        return f"{wrap(expr.left)} - {wrap(expr.right, need_higher=True)}"
-    if isinstance(expr, Mul):
-        return f"{wrap(expr.left)} * {wrap(expr.right)}"
-    if isinstance(expr, Div):
-        return f"{wrap(expr.left)} / {wrap(expr.right, need_higher=True)}"
+        return f"-{_wrap(to_string(expr.arg), expr.arg, prec)}"
+    if isinstance(expr, Bin):
+        # '-' and '/' do not associate: a right operand that binds as weakly keeps its parentheses
+        left, right = to_string(expr.left), to_string(expr.right)
+        return f"{_wrap(left, expr.left, prec)} {expr.op} {_wrap(right, expr.right, prec + (expr.op in '-/'))}"
     if isinstance(expr, Pow):
-        base = to_string(expr.base)
-        if _PREC[type(expr.base)] < 5:
-            base = f"({base})"
-        return f"{base}^{expr.exponent}"
+        return f"{_wrap(to_string(expr.base), expr.base, prec + 1)}^{expr.exponent}"
     raise TypeError(f"unknown node {expr!r}")
 
 
 # ---------------------------------------------------------------------------
 # tokenizer / parser
+
+
+# each tree job recurses once per level, and the deepest tree per token (the
+# second derivative of a chain of quotients) has 3: at 128 tokens every job
+# stays within 380 frames, under half of Python's default recursion limit
+_MAX_TOKENS = 128
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -392,6 +365,8 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             i = j
             continue
         raise ParseError(f"unsupported character {ch!r}", i)
+    if len(tokens) > _MAX_TOKENS:
+        raise ParseError(f"expression longer than {_MAX_TOKENS} tokens", tokens[_MAX_TOKENS][2])
     tokens.append(("end", "", n))
     return tokens
 
@@ -410,12 +385,6 @@ class _Parser:
         self.pos += 1
         return token
 
-    def expect_op(self, symbol: str):
-        kind, value, at = self.peek()
-        if kind != "op" or value != symbol:
-            raise ParseError(f"expected {symbol!r}", at)
-        self.advance()
-
     def parse(self) -> Expr:
         node = self.expr()
         kind, value, at = self.peek()
@@ -423,31 +392,18 @@ class _Parser:
             raise ParseError(f"unexpected trailing input {value!r}", at)
         return node
 
-    def expr(self) -> Expr:
-        node = self.term()
+    def expr(self, level: int = 1) -> Expr:
+        """Operands joined left to right by the binary operators that bind
+        at this level of _PREC; each operand is parsed one level up, and
+        above '*' and '/' it is a factor."""
+        node = self.expr(level + 1) if level < _PREC["*"] else self.factor()
         while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                rhs = self.term()
-                node = Add(node, rhs) if value == "+" else Sub(node, rhs)
-            else:
+            kind, op, _ = self.peek()
+            if kind != "op" or _PREC.get(op) != level:
                 return node
-
-    def term(self) -> Expr:
-        node = self.factor()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "*/":
-                self.advance()
-                rhs = self.factor()
-                if value == "*":
-                    node = Mul(node, rhs)
-                else:
-                    node = Div(node, rhs)
-                    self.saw_division = True
-            else:
-                return node
+            self.advance()
+            node = Bin(op, node, self.expr(level + 1) if level < _PREC["*"] else self.factor())
+            self.saw_division |= op == "/"
 
     def factor(self) -> Expr:
         node = self.base()
@@ -478,7 +434,9 @@ class _Parser:
             return Var()
         if kind == "op" and value == "(":
             node = self.expr()
-            self.expect_op(")")
+            kind, value, at = self.advance()
+            if (kind, value) != ("op", ")"):
+                raise ParseError("expected ')'", at)
             return node
         if kind == "op" and value == "-":
             return Neg(self.base())

@@ -440,10 +440,8 @@ def solve_flow_batch(
     where the flow amplifies perturbations, as on the way into a saddle),
     and an error estimate at rounding level (a constant field, whose serial
     error is exactly 0) may get other step-size factors and so another step
-    count. A row's field norm sums its squares by ``add.reduce``
-    (``np.linalg.norm``), not by the serial loop's dot, so it too may differ
-    in the last bit. A row leaves the batch when it stops; a row whose field
-    is non-finite at the start stops there with ``non_finite``. Returns one
+    count. A row leaves the batch when it stops; a row whose field is
+    non-finite at the start stops there with ``non_finite``. Returns one
     OdeResult per row holding only its final sample: there are no
     checkpoints, no recording and no stop predicate.
     """
@@ -479,7 +477,7 @@ def solve_flow_batch(
     t_end = cfg.t_max - 1e-14 * max(1.0, cfg.t_max)
     with np.errstate(over="ignore", invalid="ignore"):
         field(Y, stages[0])
-        fnorm = np.linalg.norm(stages[0], axis=1)
+        fnorm = np.sqrt(np.vecdot(stages[0], stages[0]))  # math.sqrt(r.dot(r)) per row
         stopped = ~np.isfinite(stages[0]).all(axis=1)
         retire(stopped, "non_finite")
         converged = ~stopped & (fnorm < cfg.grad_tol)
@@ -529,8 +527,8 @@ def solve_flow_batch(
             steps += accept
             t = np.where(accept, np.where(landing, cfg.t_max, t + h_try), t)
             Y[accept] = Y_new[accept]
-            stages[0, accept] = stages[-1, accept]
-            fnorm[accept] = np.linalg.norm(stages[0, accept], axis=1)
+            fields = stages[0, accept] = stages[-1, accept]
+            fnorm[accept] = np.sqrt(np.vecdot(fields, fields))
 
             stopped = ~finite
             retire(stopped, "non_finite")

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from ovflow.cost import Add, Div, Expr, Mul, Neg, Num, Pow, Sub, Var
+from ovflow.cost import Bin, Expr, Neg, Num, Pow, Var
 
 
 def fd_scalar_derivative(func, w, eps=1e-6):
@@ -86,18 +86,18 @@ def evaluate(expr: Expr, w: float) -> float:
         return w
     if isinstance(expr, Neg):
         return -evaluate(expr.arg, w)
-    if isinstance(expr, Add):
-        return evaluate(expr.left, w) + evaluate(expr.right, w)
-    if isinstance(expr, Sub):
-        return evaluate(expr.left, w) - evaluate(expr.right, w)
-    if isinstance(expr, Mul):
-        return evaluate(expr.left, w) * evaluate(expr.right, w)
-    if isinstance(expr, Div):
-        num = evaluate(expr.left, w)
-        den = evaluate(expr.right, w)
-        if den == 0.0:
-            return math.nan if num == 0.0 else math.copysign(math.inf, num)
-        return num / den
+    if isinstance(expr, Bin):
+        left = evaluate(expr.left, w)
+        right = evaluate(expr.right, w)
+        if expr.op == "+":
+            return left + right
+        if expr.op == "-":
+            return left - right
+        if expr.op == "*":
+            return left * right
+        if right == 0.0:
+            return math.nan if left == 0.0 else math.copysign(math.inf, left)
+        return left / right
     if isinstance(expr, Pow):
         base = evaluate(expr.base, w)
         try:

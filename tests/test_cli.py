@@ -204,6 +204,9 @@ BAD_INPUTS = {
         "accelerate", "--expr", "(1 - w)^2", "--z0", "0.5", "--c-low", "0", "--c-high", "1e30", "--t-max", "1", "--out",
     ],
     "dichotomy_negative_seed": ["dichotomy", "--expr", "(1 - w)^2", "--min-value", "0", "--seed", "-1", "--out"],
+    # past the token cap: these once overflowed the stack in the parser and in simplify
+    "dichotomy_400_nested_parentheses": ["dichotomy", "--expr", "(" * 400 + "w" + ")" * 400, "--out"],
+    "dichotomy_1200_term_sum": ["dichotomy", "--expr", " + ".join(["w"] * 1200), "--out"],
 }
 
 

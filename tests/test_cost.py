@@ -3,6 +3,7 @@
 import math
 import operator
 import pickle
+import sys
 import warnings
 
 import numpy as np
@@ -11,15 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ovflow.cost import (
-    Add,
-    Div,
-    Mul,
     Neg,
     Num,
     ParseError,
     Pow,
     QuadraticMatrixCost,
-    Sub,
     Var,
     parse_scalar_cost,
     pdpli_check,
@@ -121,6 +118,48 @@ def test_a_number_literal_past_the_float_range_is_a_parse_error(text, position):
     assert info.value.position == position
 
 
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+# the deepest shapes per token, each as long as the 128-token cap allows:
+# nested parentheses for the parser, nested powers, a long sum, and a chain
+# of quotients, whose second derivative is the deepest tree per token
+DEEPEST = {
+    "parentheses": lambda n: "(" * n + "w" + ")" * n,
+    "powers": lambda n: "(" * n + "w" + ")^2" * n,
+    "sum": lambda n: " + ".join(["w"] * n),
+    "quotients": lambda n: " / ".join(["w"] * n),
+}
+
+
+@pytest.mark.parametrize(
+    "shape, n, refused_at", [("parentheses", 63, 128), ("powers", 31, 128), ("sum", 64, 256), ("quotients", 64, 256)]
+)
+def test_the_deepest_expressions_the_cap_admits_use_under_half_the_recursion_limit(shape, n, refused_at):
+    text = DEEPEST[shape](n)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 500)
+    try:
+        cost = parse_scalar_cost(text)
+        for tree, compiled in (
+            (cost.expression, cost.value),
+            (cost.derivative, cost.deriv),
+            (cost.second_derivative, cost.second),
+        ):
+            to_string(tree)
+            compiled(0.75), compiled(np.array([0.75, 1.5]))
+    finally:
+        sys.setrecursionlimit(limit)
+    # one level more passes the cap, which refuses the 129th token
+    with pytest.raises(ParseError, match="longer than 128 tokens") as info:
+        parse_scalar_cost(DEEPEST[shape](n + 1))
+    assert info.value.position == refused_at
+
+
 # symbolic derivatives
 
 
@@ -194,7 +233,7 @@ def _grow(children):
 
 
 EXPRESSIONS = st.recursive(st.one_of(st.just("w"), _CONSTANTS), _grow, max_leaves=8)
-_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
 def _to_sympy(expr, sympy, w):
@@ -207,7 +246,7 @@ def _to_sympy(expr, sympy, w):
         return -_to_sympy(expr.arg, sympy, w)
     if isinstance(expr, Pow):
         return _to_sympy(expr.base, sympy, w) ** expr.exponent
-    return _BINARY[type(expr)](_to_sympy(expr.left, sympy, w), _to_sympy(expr.right, sympy, w))
+    return _BINARY[expr.op](_to_sympy(expr.left, sympy, w), _to_sympy(expr.right, sympy, w))
 
 
 @settings(max_examples=100, deadline=None)
@@ -269,7 +308,7 @@ def _denominators(expr):
         return _denominators(expr.arg)
     if isinstance(expr, Pow):
         return ([expr.base] if expr.exponent < 0 else []) + _denominators(expr.base)
-    own = [expr.right] if isinstance(expr, Div) else []
+    own = [expr.right] if expr.op == "/" else []
     return own + _denominators(expr.left) + _denominators(expr.right)
 
 

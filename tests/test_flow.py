@@ -485,6 +485,23 @@ def test_field_norm_is_the_norm_of_the_field_at_every_sample():
             assert fnorm == np.linalg.norm(out)
 
 
+@pytest.mark.parametrize(
+    "shape, cost",
+    [
+        (NetShape(2, 4, 2), COST),
+        (NetShape(2, 3, 3), COST),
+        (NetShape(1, 3, 2), parse_scalar_cost("(1 - w)^2 * (2 + w)^2").as_matrix()),
+    ],
+)
+def test_a_batched_rows_field_norm_is_the_serial_norm_of_its_final_field(shape, cost):
+    field = flow_field(shape, cost)
+    Y0 = np.stack([pack(random_init(shape, seed=s, scale=0.5).layers) for s in range(40)])
+    out = np.empty(Y0.shape[1])
+    for res in solve_flow_batch(field, Y0, MIXED_STOPS_CFG):
+        field(res.y[0], out)
+        assert res.field_norm[0] == math.sqrt(out.dot(out))
+
+
 def test_solver_rejects_bad_inputs():
     with pytest.raises(ValueError):
         solve_flow(_decay, np.array([np.nan]), IntegratorConfig())

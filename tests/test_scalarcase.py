@@ -2,6 +2,7 @@
 convergence dichotomy battery."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -69,6 +70,28 @@ def test_anti_balanced_line():
     assert d_metric(stack, WELL) == 0.0
     assert product(stack.layers)[0, 0] < 0.0
     assert conserved_D(stack) == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("text", ["(1 - w)^2", "(2 - w)^2", "(1 + w)^2 - 0.5*w"])
+def test_the_field_keeps_an_anti_balanced_state_on_its_line_bit_for_bit(text):
+    # the field at w1 = s w2 is on the line too, exactly, for one state and
+    # for a batch: a flow that leaves the line leaves it in the solver
+    cost = parse_scalar_cost(text)
+    s = cost.sign_at_zero()
+    rng = np.random.default_rng(18)
+    for k in range(1, 10):
+        scales = 10.0 ** rng.integers(-6, 2, size=(30, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateWidthWarning)  # k = 1
+            field = flow_field(NetShape(n=1, k=k, depth=2), cost.as_matrix())
+            Y = np.stack([pack(anti_balanced(w2, cost).layers) for w2 in scales * rng.uniform(-1.5, 1.5, (30, k))])
+        assert np.array_equal(Y[:, :k], s * Y[:, k:])
+        single, batch = np.empty(2 * k), np.empty_like(Y)
+        field(Y, batch)
+        for y, row in zip(Y, batch):
+            field(y, single)
+            for out in (single, row):
+                assert out[:k].tobytes() == (s * out[k:]).tobytes(), (k, y)
 
 
 def test_d_metric_away_from_the_line():
